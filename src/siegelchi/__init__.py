@@ -12,8 +12,9 @@ from .symplectic import (GeneratorWord, SymplecticMatrix, alphabet, commutator,
                          make_matrix, matrix_power, multiply, random_igusa48,
                          random_word, word, word_to_matrix)
 from .characteristics import (Characteristic, act, characteristic, delta,
-                              enumerate_even_mod2, is_even, parity, shift,
-                              sign_shift_exponent, solve_preimage)
+                              enumerate_even_mod2, enumerate_mod2, is_even,
+                              parity, shift, sign_shift_exponent,
+                              solve_preimage)
 from .character import (AbelianExponents, EighthRoot, PhaseValue, chi,
                         chi_even_values, chi_from_exponents, chi_generator,
                         chi_word, delta_sign_bit, extract_abelian_exponents,

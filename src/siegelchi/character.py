@@ -13,10 +13,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DegreeMismatch, InterpolationInconsistent, NotLevel2
-from .characteristics import (Characteristic, delta, enumerate_even_mod2,
+from .errors import InterpolationInconsistent, NotLevel2, _check_degree
+from .characteristics import (Characteristic, _halves, delta,
+                              enumerate_even_mod2, sign_shift_exponent,
                               solve_preimage)
 from .symplectic import (GeneratorWord, SymplecticMatrix, _check_indices,
                          is_level2)
@@ -92,17 +91,6 @@ class PhaseValue:
         return f"PhaseValue(raw_numerator={self.raw_numerator})"
 
 
-def _halves(m: Characteristic):
-    mp = np.array([int(x) for x in m.m_prime], dtype=object)
-    mpp = np.array([int(x) for x in m.m_double], dtype=object)
-    return mp, mpp
-
-
-def _check_degree(m: Characteristic, mat: SymplecticMatrix):
-    if m.g != mat.g:
-        raise DegreeMismatch(f"characteristic degree {m.g} != matrix degree {mat.g}")
-
-
 def phase_full(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
     """Transformation phase for an arbitrary symplectic matrix.
 
@@ -123,7 +111,7 @@ def phase_level2(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
     """Simplified phase valid on the level-2 group; agrees with phase_full mod 1 there."""
     _check_degree(m, mat)
     if not is_level2(mat):
-        raise NotLevel2("phase_level2 needs M = I mod 2")
+        raise NotLevel2("matrix not congruent to I mod 2")
     mp, mpp = _halves(m)
     num = (mp @ (mat.b.T @ mat.d) @ mp
            + mpp @ (mat.a.T @ mat.c) @ mpp
@@ -137,20 +125,15 @@ def delta_sign_bit(m: Characteristic, mat: SymplecticMatrix) -> int:
     s = m' . delta'' mod 2 where delta = (n - m)/2 and n is the exact
     preimage of m under the affine action of mat.
     """
-    n = solve_preimage(mat, m)
-    d = delta(m, n)
-    return sum(p * q for p, q in zip(m.m_prime, d.m_double)) % 2
+    return sign_shift_exponent(m, delta(m, solve_preimage(mat, m)))
 
 
 def chi(m: Characteristic, mat: SymplecticMatrix) -> EighthRoot:
     """Character value e(phase) * (-1)^(m'.delta'') at a level-2 matrix.
 
     Defined for every integer characteristic, odd ones included; the formula
-    is purely algebraic.
+    is purely algebraic.  phase_level2 checks the degree and M = I mod 2.
     """
-    _check_degree(m, mat)
-    if not is_level2(mat):
-        raise NotLevel2("character defined on the level-2 group only")
     t = phase_level2(m, mat)
     return EighthRoot(t.eighths + 4 * delta_sign_bit(m, mat))
 
@@ -178,8 +161,7 @@ def chi_generator(m: Characteristic, kind: str, i: int, j: int) -> EighthRoot:
 
 def chi_word(m: Characteristic, w: GeneratorWord) -> EighthRoot:
     """Product of generator values along a word; equals chi of the word's matrix."""
-    if m.g != w.g:
-        raise DegreeMismatch(f"characteristic degree {m.g} != word degree {w.g}")
+    _check_degree(m, w)
     out = ONE
     for kind, i, j, e in w.letters:
         out = out * chi_generator(m, kind, i, j) ** e
@@ -234,8 +216,7 @@ def chi_from_exponents(m: Characteristic, exps: AbelianExponents) -> EighthRoot:
     A = sum p_ij m'_i m''_j + sum_{i<=j} q_ij m'_i m'_j + sum_{i<j} r_ij m''_i m''_j,
     B = sum q_ii (m'_i)^2 + sum r_ii (m''_i)^2.
     """
-    if m.g != exps.g:
-        raise DegreeMismatch(f"characteristic degree {m.g} != table degree {exps.g}")
+    _check_degree(m, exps)
     g = m.g
     mp, mpp = m.m_prime, m.m_double
     a = sum(exps.p[i][j] * mp[i] * mpp[j] for i in range(g) for j in range(g))
@@ -258,16 +239,12 @@ def _basis_char(g, prime_ones=(), double_ones=()):
 def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
     """Recover the exponent table of a level-2 matrix by character interpolation.
 
-    Probes chi at unit and two-unit characteristics and inverts the closed
-    form.  Any residual that is not divisible by the expected power of two
-    would falsify the closed form, so it aborts loudly instead of guessing.
+    Probes chi once at each unit and two-unit characteristic and inverts the
+    closed form.  Any residual that is not divisible by the expected power of
+    two would falsify the closed form, so it aborts loudly instead of guessing.
     """
-    if not is_level2(mat):
-        raise NotLevel2("exponent extraction needs M = I mod 2")
     g = mat.g
-
-    def probe(mp_ones, mpp_ones):
-        return chi(_basis_char(g, mp_ones, mpp_ones), mat).k
+    probes = {pt: chi(_basis_char(g, *pt), mat).k for pt in _probe_points(g)}
 
     def quarter(residual, what):
         if residual % 4 != 0:
@@ -277,13 +254,13 @@ def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
 
     q_diag = []
     for i in range(g):
-        k = probe((i,), ())
+        k = probes[(i,), ()]
         if k % 2 != 0:
             raise InterpolationInconsistent(f"odd exponent {k} at diagonal q probe {i}")
         q_diag.append((k // 2) % 4)
     r_diag = []
     for i in range(g):
-        k = probe((), (i,))
+        k = probes[(), (i,)]
         if k % 2 != 0:
             raise InterpolationInconsistent(f"odd exponent {k} at diagonal r probe {i}")
         r_diag.append((-(k // 2)) % 4)
@@ -291,24 +268,23 @@ def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
     p = [[0] * g for _ in range(g)]
     for i in range(g):
         for j in range(g):
-            k = probe((i,), (j,))
+            k = probes[(i,), (j,)]
             p[i][j] = quarter((k - 2 * q_diag[i] + 2 * r_diag[j]) % 8, f"p[{i}][{j}]")
     q_off = [[0] * g for _ in range(g)]
     r_off = [[0] * g for _ in range(g)]
     for i in range(g):
         for j in range(i + 1, g):
-            k = probe((i, j), ())
+            k = probes[(i, j), ()]
             q_off[i][j] = quarter((k - 2 * q_diag[i] - 2 * q_diag[j]) % 8,
                                   f"q[{i}][{j}]")
-            k = probe((), (i, j))
+            k = probes[(), (i, j)]
             r_off[i][j] = quarter((k + 2 * r_diag[i] + 2 * r_diag[j]) % 8,
                                   f"r[{i}][{j}]")
 
     out = AbelianExponents.make(g, p, q_diag, q_off, r_diag, r_off)
     # Postcondition: the table reproduces every probe value.
-    for mp_ones, mpp_ones in _probe_points(g):
-        m = _basis_char(g, mp_ones, mpp_ones)
-        assert chi_from_exponents(m, out).k == chi(m, mat).k
+    for pt, k in probes.items():
+        assert chi_from_exponents(_basis_char(g, *pt), out).k == k
     return out
 
 
@@ -362,7 +338,5 @@ def is_chi_constant_over_even(mat: SymplecticMatrix) -> bool:
     membership of M up to sign in the mod-4, diagonal-mod-8 subgroup, see
     is_igusa48_up_to_sign.
     """
-    if not is_level2(mat):
-        raise NotLevel2("constancy test defined on the level-2 group only")
     values = set(chi_even_values(mat).values())
     return len(values) == 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeMismatch, ParityMismatch
+from .errors import DegreeMismatch, ParityMismatch, _check_degree
 from .symplectic import SymplecticMatrix
 
 
@@ -66,26 +66,24 @@ def is_even(m: Characteristic) -> bool:
     return sum(p * q for p, q in zip(m.m_prime, m.m_double)) % 2 == 0
 
 
+def enumerate_mod2(g: int) -> list:
+    """All 4^g representatives in {0,1}^(2g), lexicographic by (m', m'')."""
+    return [Characteristic(g=g, m_prime=bits[:g], m_double=bits[g:])
+            for bits in itertools.product((0, 1), repeat=2 * g)]
+
+
 def enumerate_even_mod2(g: int) -> list:
     """All even representatives in {0,1}^(2g), lexicographic by (m', m'').
 
     There are 2^(g-1) (2^g + 1) of them.
     """
-    out = []
-    for bits in itertools.product((0, 1), repeat=2 * g):
-        m = Characteristic(g=g, m_prime=bits[:g], m_double=bits[g:])
-        if is_even(m):
-            out.append(m)
-    return out
+    return [m for m in enumerate_mod2(g) if is_even(m)]
 
 
-def _check_degree(mat: SymplecticMatrix, m: Characteristic):
-    if mat.g != m.g:
-        raise DegreeMismatch(f"matrix degree {mat.g} != characteristic degree {m.g}")
-
-
-def _col(half) -> np.ndarray:
-    return np.array([int(x) for x in half], dtype=object)
+def _halves(m: Characteristic) -> tuple:
+    """m' and m'' as object vectors of Python ints."""
+    return (np.array([int(x) for x in m.m_prime], dtype=object),
+            np.array([int(x) for x in m.m_double], dtype=object))
 
 
 def act(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
@@ -94,7 +92,7 @@ def act(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
     Exact over the integers; mod 2 it is a group action.
     """
     _check_degree(mat, m)
-    mp, mpp = _col(m.m_prime), _col(m.m_double)
+    mp, mpp = _halves(m)
     top = mat.d @ mp - mat.c @ mpp + mat.cd_diag()
     bot = -mat.b @ mp + mat.a @ mpp + mat.ab_diag()
     return Characteristic(g=m.g, m_prime=tuple(int(x) for x in top),
@@ -104,7 +102,7 @@ def act(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
 def solve_preimage(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
     """The unique n with act(mat, n) == m, by the closed block-transpose form."""
     _check_degree(mat, m)
-    mp, mpp = _col(m.m_prime), _col(m.m_double)
+    mp, mpp = _halves(m)
     cd0, ab0 = mat.cd_diag(), mat.ab_diag()
     top = mat.a.T @ mp + mat.c.T @ mpp - mat.a.T @ cd0 - mat.c.T @ ab0
     bot = mat.b.T @ mp + mat.d.T @ mpp - mat.b.T @ cd0 - mat.d.T @ ab0
@@ -116,8 +114,7 @@ def solve_preimage(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
 
 def delta(m: Characteristic, n: Characteristic) -> Characteristic:
     """Componentwise (n - m) / 2; exact, so the halves must agree mod 2."""
-    if m.g != n.g:
-        raise DegreeMismatch(f"degrees differ: {m.g} vs {n.g}")
+    _check_degree(m, n)
     diff = [b - a for a, b in zip(m.vector(), n.vector())]
     if any(x % 2 for x in diff):
         raise ParityMismatch("characteristics differ by an odd vector")
@@ -127,14 +124,12 @@ def delta(m: Characteristic, n: Characteristic) -> Characteristic:
 
 def sign_shift_exponent(m: Characteristic, n: Characteristic) -> int:
     """Exponent bit of the sign relating the theta constant at m + 2n to the one at m."""
-    if m.g != n.g:
-        raise DegreeMismatch(f"degrees differ: {m.g} vs {n.g}")
+    _check_degree(m, n)
     return sum(p * q for p, q in zip(m.m_prime, n.m_double)) % 2
 
 
 def shift(m: Characteristic, n: Characteristic) -> Characteristic:
     """m + 2n, exact."""
-    if m.g != n.g:
-        raise DegreeMismatch(f"degrees differ: {m.g} vs {n.g}")
+    _check_degree(m, n)
     return Characteristic.from_vector(
         [a + 2 * b for a, b in zip(m.vector(), n.vector())])

@@ -9,29 +9,27 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
-import operator
-import os
+import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
-from .errors import (BadShape, DegreeMismatch, NotLevel2, NotSymplectic,
-                     SiegelChiError, TooFewUsable)
-from .characteristics import Characteristic, act, enumerate_even_mod2, shift
+from .errors import (BadShape, DegreeMismatch, NotSymplectic,
+                     SiegelChiError, TooFewUsable, _check_degree)
+from .characteristics import (Characteristic, act, enumerate_even_mod2,
+                              enumerate_mod2, shift)
 from .character import (chi, chi_from_exponents, chi_generator, delta_sign_bit,
                         extract_abelian_exponents, is_chi_constant_over_even,
                         phase_full, phase_level2)
-from .symplectic import (SymplecticMatrix, _random_igusa48, _random_word,
-                         alphabet, congruent_to_identity, generator,
-                         is_igusa48, is_igusa48_up_to_sign, is_level2,
-                         make_matrix, matrix_power, multiply,
-                         random_word, word_to_matrix)
+from .symplectic import (SymplecticMatrix, _int_matrix, _random_igusa48,
+                         _random_word, alphabet, congruent_to_identity,
+                         congruent_to_igusa48, generator, is_igusa48,
+                         is_igusa48_up_to_sign, make_matrix,
+                         matrix_power, multiply, random_word, word_to_matrix)
 from .theta import (DEFAULT_TAIL_TOL, DEFAULT_TOL, SiegelPoint,
                     verify_character, verify_igusa_product)
 
@@ -46,6 +44,11 @@ EXIT_MISMATCH = 4
 TIGHTNESS_FACTOR = 10.0
 
 
+def _check_g(g: int):
+    if g < 1:
+        raise BadShape("g must be at least 1")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Settings for one verification run."""
@@ -56,17 +59,15 @@ class RunConfig:
     word_length: int = 6
     tol: float = DEFAULT_TOL
     tail_tol: float = DEFAULT_TAIL_TOL
-    output: str = "-"
 
     def validate(self):
-        if self.g < 1:
-            raise BadShape("g must be at least 1")
+        _check_g(self.g)
         if self.trials < 1:
             raise BadShape("trials must be at least 1")
-        if self.word_length < 0:
-            raise BadShape("word length must be nonnegative")
-        if self.tail_tol <= 0 or self.tol <= 0:
-            raise BadShape("tolerances must be positive")
+        if self.word_length < 1:
+            raise BadShape("word length must be at least 1")
+        if not (0 < self.tol < math.inf and 0 < self.tail_tol < math.inf):
+            raise BadShape("tolerances must be positive and finite")
 
     def too_tight(self) -> bool:
         return self.tol < TIGHTNESS_FACTOR * self.tail_tol
@@ -102,14 +103,12 @@ def _load_matrix(path: str) -> SymplecticMatrix:
     return serialize.matrix_from_dict(_read_json(path))
 
 
-def _parse_characteristic(text: str, g: int) -> Characteristic:
+def _parse_characteristic(text: str, mat: SymplecticMatrix) -> Characteristic:
     try:
-        entries = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise BadShape(f"characteristic must be comma-separated integers: {exc}") from exc
-    m = Characteristic.from_vector(entries)
-    if m.g != g:
-        raise BadShape(f"characteristic has degree {m.g}, matrix has degree {g}")
+        m = Characteristic.from_vector(text.split(","))
+        _check_degree(m, mat)
+    except (ValueError, DegreeMismatch) as exc:
+        raise BadShape(f"characteristic must be 2g comma-separated integers: {exc}") from exc
     return m
 
 
@@ -119,9 +118,7 @@ def _parse_characteristic(text: str, g: int) -> Characteristic:
 
 def cmd_chi(args) -> int:
     mat = _load_matrix(args.matrix)
-    m = _parse_characteristic(args.char, mat.g)
-    if not is_level2(mat):
-        raise NotLevel2("matrix not congruent to I mod 2")
+    m = _parse_characteristic(args.char, mat)
     root = chi(m, mat)
     out = serialize.eighth_root_to_dict(root)
     payload = {"exponent": root.k,
@@ -136,8 +133,7 @@ def cmd_chi(args) -> int:
 def _table_rows(g: int):
     rows = []
     all_match = True
-    chars = [Characteristic(g=g, m_prime=bits[:g], m_double=bits[g:])
-             for bits in itertools.product((0, 1), repeat=2 * g)]
+    chars = enumerate_mod2(g)
     for kind, i, j in alphabet(g):
         mat = generator(kind, i, j, g)
         for m in chars:
@@ -163,8 +159,7 @@ def _table_markdown(g: int, rows) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.g < 1:
-        raise BadShape("g must be at least 1")
+    _check_g(args.g)
     rows, all_match = _table_rows(args.g)
     if args.markdown:
         _write(_table_markdown(args.g, rows), args.output)
@@ -177,34 +172,22 @@ def cmd_member(args) -> int:
     data = _read_json(args.matrix)
     if not isinstance(data, dict) or "m" not in data:
         raise BadShape("matrix JSON needs an 'm' field")
+    raw = _int_matrix(data["m"])
     try:
-        raw = np.array([[operator.index(x) for x in row] for row in data["m"]],
-                       dtype=object)
-    except (TypeError, ValueError) as exc:
-        raise BadShape(f"matrix entries must be integers: {exc}") from exc
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] % 2:
-        raise BadShape(f"matrix must be square of even dimension, got {raw.shape}")
-    g = raw.shape[0] // 2
-    try:
-        make_matrix(raw)
+        make_matrix(raw)  # BadShape for an odd dimension
         sp = True
     except NotSymplectic:
         sp = False
-    a, b = raw[:g, :g], raw[:g, g:]
-    c, d = raw[g:, :g], raw[g:, g:]
-    ab0 = [(a @ b.T)[i, i] for i in range(g)]
-    cd0 = [(c @ d.T)[i, i] for i in range(g)]
     payload = {"sp": sp,
                "level2": congruent_to_identity(raw, 2),
                "level4": congruent_to_identity(raw, 4),
-               "igusa48": (congruent_to_identity(raw, 4)
-                           and all(x % 8 == 0 for x in ab0)
-                           and all(x % 8 == 0 for x in cd0))}
+               "igusa48": congruent_to_igusa48(raw)}
     _emit_json(payload, args.output)
     return EXIT_OK
 
 
 def cmd_random(args) -> int:
+    _check_g(args.g)
     w = random_word(args.g, args.word_length, args.seed)
     payload = {"word": serialize.word_to_dict(w),
                "matrix": serialize.matrix_to_dict(word_to_matrix(w))}
@@ -214,12 +197,9 @@ def cmd_random(args) -> int:
 
 def cmd_decompose(args) -> int:
     mat = _load_matrix(args.matrix)
-    if not is_level2(mat):
-        raise NotLevel2("matrix not congruent to I mod 2")
     exps = extract_abelian_exponents(mat)
     mismatches = []
-    for bits in itertools.product((0, 1), repeat=2 * mat.g):
-        m = Characteristic(g=mat.g, m_prime=bits[:mat.g], m_double=bits[mat.g:])
+    for m in enumerate_mod2(mat.g):
         if chi_from_exponents(m, exps).k != chi(m, mat).k:
             mismatches.append(serialize.characteristic_to_list(m))
     payload = {"exponents": serialize.exponents_to_dict(exps),
@@ -238,11 +218,6 @@ def _rng(config: RunConfig, suite: str, index) -> random.Random:
     return random.Random(f"{config.seed}.{suite}.{index}")
 
 
-def _all_binary(g: int):
-    return [Characteristic(g=g, m_prime=bits[:g], m_double=bits[g:])
-            for bits in itertools.product((0, 1), repeat=2 * g)]
-
-
 def _random_point(g: int, rng: random.Random) -> SiegelPoint:
     re = [[rng.uniform(-0.4, 0.4) for _ in range(g)] for _ in range(g)]
     re = (np.array(re) + np.array(re).T) / 2.0
@@ -253,7 +228,7 @@ def _random_point(g: int, rng: random.Random) -> SiegelPoint:
 
 def _suite_homomorphism(config: RunConfig) -> dict:
     g = config.g
-    chars = _all_binary(g)
+    chars = enumerate_mod2(g)
     failures = 0
     for t in range(config.trials):
         rng = _rng(config, "A", t)
@@ -268,7 +243,7 @@ def _suite_homomorphism(config: RunConfig) -> dict:
 
 def _suite_triviality(config: RunConfig) -> dict:
     g = config.g
-    chars = _all_binary(g)
+    chars = enumerate_mod2(g)
     failures = 0
     for t in range(config.trials):
         mat = _random_igusa48(g, _rng(config, "B", t))
@@ -283,7 +258,7 @@ def _suite_triviality(config: RunConfig) -> dict:
 def _numeric_trial(config: RunConfig, t: int) -> dict:
     rng = _rng(config, "C", t)
     g = config.g
-    length = rng.randint(1, min(4, max(1, config.word_length)))
+    length = rng.randint(1, min(4, config.word_length))
     mat = word_to_matrix(_random_word(g, length, rng))
     point = _random_point(g, rng)
     try:
@@ -309,7 +284,7 @@ def _product_trial(config: RunConfig, t: int) -> dict:
         return {"passed": False, "error": str(exc)}
 
 
-def _suite_numeric(config: RunConfig, threads: int) -> dict:
+def _suite_numeric(config: RunConfig) -> dict:
     if config.too_tight():
         return {"character_trials": 0, "product_trials": 0, "failures": 1,
                 "passed": False, "diagnostic": "TooTight",
@@ -318,17 +293,10 @@ def _suite_numeric(config: RunConfig, threads: int) -> dict:
                            f"{TIGHTNESS_FACTOR:g} * tail_tol")}
     n_char = max(1, config.trials // 5)
     n_prod = max(1, config.trials // 10)
-    char_jobs = [(config, t) for t in range(n_char)]
-    prod_jobs = [(config, t) for t in range(n_prod)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            char_results = list(pool.map(lambda j: _numeric_trial(*j), char_jobs))
-            prod_results = list(pool.map(lambda j: _product_trial(*j), prod_jobs))
-    else:
-        char_results = [_numeric_trial(*j) for j in char_jobs]
-        prod_results = [_product_trial(*j) for j in prod_jobs]
-    failures = sum(1 for r in char_results + prod_results if not r["passed"])
-    deviations = [r.get("max_deviation", 0.0) for r in char_results + prod_results]
+    results = ([_numeric_trial(config, t) for t in range(n_char)]
+               + [_product_trial(config, t) for t in range(n_prod)])
+    failures = sum(1 for r in results if not r["passed"])
+    deviations = [r.get("max_deviation", 0.0) for r in results]
     return {"character_trials": n_char, "product_trials": n_prod,
             "failures": failures, "max_deviation": max(deviations, default=0.0),
             "passed": failures == 0}
@@ -393,13 +361,12 @@ def _suite_phase_congruences(config: RunConfig) -> dict:
 def cmd_verify(args) -> int:
     config = RunConfig(g=args.g, seed=args.seed, trials=args.trials,
                        word_length=args.word_length, tol=args.tol,
-                       tail_tol=args.tail_tol, output=args.output)
+                       tail_tol=args.tail_tol)
     config.validate()
-    threads = max(1, int(os.environ.get("SIEGEL_CHAR_THREADS", "1")))
     suites = {}
     runners = [("A_homomorphism", _suite_homomorphism),
                ("B_triviality", _suite_triviality),
-               ("C_numeric", lambda c: _suite_numeric(c, threads)),
+               ("C_numeric", _suite_numeric),
                ("D_equivalence", _suite_equivalence),
                ("E_phase_congruences", _suite_phase_congruences)]
     for name, runner in runners:
@@ -496,7 +463,7 @@ def main(argv=None) -> int:
     except (BadShape, NotSymplectic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotLevel2, DegreeMismatch, SiegelChiError) as exc:
+    except SiegelChiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

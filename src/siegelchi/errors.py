@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one degree check."""
 
 
 class SiegelChiError(Exception):
@@ -15,6 +15,13 @@ class NotSymplectic(SiegelChiError):
 
 class DegreeMismatch(SiegelChiError):
     """Operands were built for different degrees g."""
+
+
+def _check_degree(x, y):
+    """Raise DegreeMismatch unless x and y were built for the same degree g."""
+    if x.g != y.g:
+        raise DegreeMismatch(f"degrees differ: {type(x).__name__} has g={x.g}, "
+                             f"{type(y).__name__} has g={y.g}")
 
 
 class IndexOutOfRange(SiegelChiError):

@@ -12,8 +12,16 @@ from __future__ import annotations
 from .errors import BadShape
 from .characteristics import Characteristic
 from .character import AbelianExponents, EighthRoot
-from .symplectic import GeneratorWord, SymplecticMatrix, make_matrix, word
+from .symplectic import (GeneratorWord, SymplecticMatrix, _int_entry,
+                         make_matrix, word)
 from .theta import SiegelPoint, VerificationReport
+
+
+def _g_field(data: dict) -> int:
+    try:
+        return _int_entry(data["g"])
+    except TypeError as exc:
+        raise BadShape(f"'g' must be an integer: {exc}") from exc
 
 
 def matrix_to_dict(mat: SymplecticMatrix) -> dict:
@@ -24,7 +32,7 @@ def matrix_from_dict(data: dict) -> SymplecticMatrix:
     if not isinstance(data, dict) or "m" not in data:
         raise BadShape("matrix JSON needs an 'm' field")
     mat = make_matrix(data["m"])
-    if "g" in data and int(data["g"]) != mat.g:
+    if "g" in data and _g_field(data) != mat.g:
         raise BadShape(f"declared g={data['g']} but matrix has g={mat.g}")
     return mat
 
@@ -36,7 +44,7 @@ def word_to_dict(w: GeneratorWord) -> dict:
 def word_from_dict(data: dict) -> GeneratorWord:
     if not isinstance(data, dict) or "g" not in data or "letters" not in data:
         raise BadShape("word JSON needs 'g' and 'letters' fields")
-    return word(int(data["g"]), data["letters"])
+    return word(_g_field(data), data["letters"])
 
 
 def characteristic_to_list(m: Characteristic) -> list:

@@ -4,6 +4,11 @@ Matrices are stored as (2g, 2g) numpy arrays of dtype=object holding Python
 ints, so all products stay exact no matter how long a generator word gets.
 The four g x g corners are written a (top left), b (top right), c (bottom
 left), d (bottom right).
+
+make_matrix is the one validating constructor, for input from outside the
+program.  The group operations (multiply, inverse, generator and everything
+built on them) return SymplecticMatrix values directly: the group is closed
+under them and the generators are symplectic by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadShape, DegreeMismatch, IndexOutOfRange, NotSymplectic
+from .errors import BadShape, IndexOutOfRange, NotSymplectic, _check_degree
 
 GENERATOR_KINDS = ("A", "B", "C")
 
@@ -23,10 +28,11 @@ GENERATOR_KINDS = ("A", "B", "C")
 def _int_matrix(entries) -> np.ndarray:
     """Copy arbitrary nested input into an object array of Python ints.
 
-    Entries must be true integers; floats are rejected rather than truncated.
+    Entries must be true integers; floats are rejected rather than truncated,
+    and booleans rather than read as 0 and 1.
     """
     try:
-        mat = np.array([[operator.index(x) for x in row] for row in entries],
+        mat = np.array([[_int_entry(x) for x in row] for row in entries],
                        dtype=object)
     except (TypeError, ValueError) as exc:
         raise BadShape(f"matrix entries must be integers: {exc}") from exc
@@ -35,12 +41,14 @@ def _int_matrix(entries) -> np.ndarray:
     return mat
 
 
+def _int_entry(x) -> int:
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a boolean, not an integer")
+    return operator.index(x)
+
+
 def _identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=object)
-
-
-def _zeros(n: int) -> np.ndarray:
-    return np.zeros((n, n), dtype=object)
 
 
 def congruent_to_identity(entries: np.ndarray, modulus: int) -> bool:
@@ -49,20 +57,32 @@ def congruent_to_identity(entries: np.ndarray, modulus: int) -> bool:
     return bool(((entries - _identity(n)) % modulus == 0).all())
 
 
+def _blocks(mat: np.ndarray) -> tuple:
+    """The corners a, b, c, d of a (2g, 2g) array."""
+    g = mat.shape[0] // 2
+    return mat[:g, :g], mat[:g, g:], mat[g:, :g], mat[g:, g:]
+
+
+def congruent_to_igusa48(entries: np.ndarray) -> bool:
+    """entries = I mod 4 with the diagonals of a b^T and c d^T divisible by 8.
+
+    Works on any even-dimension integer array, symplectic or not.
+    """
+    a, b, c, d = _blocks(entries)
+    return (congruent_to_identity(entries, 4)
+            and bool(((a @ b.T).diagonal() % 8 == 0).all())
+            and bool(((c @ d.T).diagonal() % 8 == 0).all()))
+
+
 def diag_vector(s) -> tuple:
     """Diagonal of a square matrix, in natural order, as a tuple of ints."""
     mat = s.entries if isinstance(s, SymplecticMatrix) else _int_matrix(s)
-    return tuple(int(mat[i, i]) for i in range(mat.shape[0]))
-
-
-def _diag_col(s: np.ndarray) -> np.ndarray:
-    """Diagonal of a square object array as an object vector."""
-    return np.array([s[i, i] for i in range(s.shape[0])], dtype=object)
+    return tuple(int(x) for x in mat.diagonal())
 
 
 @dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
-    """Validated element of the degree-g integral symplectic group."""
+    """Element of the degree-g integral symplectic group; see make_matrix."""
 
     g: int
     entries: np.ndarray
@@ -88,11 +108,11 @@ class SymplecticMatrix:
 
     def ab_diag(self) -> np.ndarray:
         """(a b^T)_0 as an object column vector."""
-        return _diag_col(self.a @ self.b.T)
+        return (self.a @ self.b.T).diagonal()
 
     def cd_diag(self) -> np.ndarray:
         """(c d^T)_0 as an object column vector."""
-        return _diag_col(self.c @ self.d.T)
+        return (self.c @ self.d.T).diagonal()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticMatrix):
@@ -120,8 +140,7 @@ def make_matrix(entries) -> SymplecticMatrix:
     if n % 2 != 0 or n == 0:
         raise BadShape(f"symplectic matrices have even dimension, got {n}")
     g = n // 2
-    a, b = mat[:g, :g], mat[:g, g:]
-    c, d = mat[g:, :g], mat[g:, g:]
+    a, b, c, d = _blocks(mat)
     if not np.array_equal(a @ d.T - b @ c.T, _identity(g)):
         raise NotSymplectic("a d^T - b c^T != I")
     ab = a @ b.T
@@ -137,22 +156,16 @@ def identity(g: int) -> SymplecticMatrix:
     return SymplecticMatrix(g=g, entries=_identity(2 * g))
 
 
-def _check_same_degree(m1: SymplecticMatrix, m2: SymplecticMatrix):
-    if m1.g != m2.g:
-        raise DegreeMismatch(f"degrees differ: {m1.g} vs {m2.g}")
-
-
 def multiply(m1: SymplecticMatrix, m2: SymplecticMatrix) -> SymplecticMatrix:
-    """Exact product, revalidated."""
-    _check_same_degree(m1, m2)
-    return make_matrix(m1.entries @ m2.entries)
+    """Exact product."""
+    _check_degree(m1, m2)
+    return SymplecticMatrix(g=m1.g, entries=m1.entries @ m2.entries)
 
 
 def inverse(m: SymplecticMatrix) -> SymplecticMatrix:
     """Exact inverse via the block formula (d^T, -b^T; -c^T, a^T)."""
-    top = np.hstack([m.d.T, -m.b.T])
-    bot = np.hstack([-m.c.T, m.a.T])
-    return make_matrix(np.vstack([top, bot]))
+    return SymplecticMatrix(g=m.g, entries=np.block([[m.d.T, -m.b.T],
+                                                     [-m.c.T, m.a.T]]))
 
 
 def matrix_power(m: SymplecticMatrix, k: int) -> SymplecticMatrix:
@@ -181,9 +194,7 @@ def is_level4(m: SymplecticMatrix) -> bool:
 
 def is_igusa48(m: SymplecticMatrix) -> bool:
     """M = I mod 4 with the diagonals of a b^T and c d^T divisible by 8."""
-    if not is_level4(m):
-        return False
-    return bool((m.ab_diag() % 8 == 0).all() and (m.cd_diag() % 8 == 0).all())
+    return congruent_to_igusa48(m.entries)
 
 
 def is_igusa48_up_to_sign(m: SymplecticMatrix) -> bool:
@@ -193,10 +204,7 @@ def is_igusa48_up_to_sign(m: SymplecticMatrix) -> bool:
     on even characteristics, so this is the exact membership detected by
     constancy of the character over even classes.
     """
-    if is_igusa48(m):
-        return True
-    neg = SymplecticMatrix(g=m.g, entries=-m.entries)
-    return is_igusa48(neg)
+    return is_igusa48(m) or congruent_to_igusa48(-m.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +231,7 @@ def generator(kind: str, i: int, j: int, g: int) -> SymplecticMatrix:
     _check_indices(kind, i, j, g)
     i0, j0 = i - 1, j - 1
     eye = _identity(g)
-    zero = _zeros(g)
+    zero = np.zeros((g, g), dtype=object)
     if kind == "A":
         a = eye.copy()
         d = eye.copy()
@@ -233,13 +241,13 @@ def generator(kind: str, i: int, j: int, g: int) -> SymplecticMatrix:
         else:
             a[i0, j0] = 2
             d[j0, i0] = -2  # a^-T for a = I + 2 E_ij
-        return make_matrix(np.block([[a, zero], [zero, d]]))
-    b = zero.copy()
-    b[i0, j0] = 2
-    b[j0, i0] = 2
-    if kind == "B":
-        return make_matrix(np.block([[eye, b], [zero, eye]]))
-    return make_matrix(np.block([[eye, zero], [b, eye]]))
+        blocks = [[a, zero], [zero, d]]
+    else:
+        b = zero.copy()
+        b[i0, j0] = 2
+        b[j0, i0] = 2
+        blocks = [[eye, b], [zero, eye]] if kind == "B" else [[eye, zero], [b, eye]]
+    return SymplecticMatrix(g=g, entries=np.block(blocks))
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,6 @@ def _random_word(g: int, length: int, rng: random.Random) -> GeneratorWord:
 
 def commutator(m1: SymplecticMatrix, m2: SymplecticMatrix) -> SymplecticMatrix:
     """m1 m2 m1^-1 m2^-1."""
-    _check_same_degree(m1, m2)
     return multiply(multiply(m1, m2), multiply(inverse(m1), inverse(m2)))
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegreeMismatch, NonPositiveTolerance, NotLevel2,
-                     NotUpperHalfSpace, SingularFactor, TooFewUsable)
+from .errors import (NonPositiveTolerance, NotLevel2, NotUpperHalfSpace,
+                     SingularFactor, TooFewUsable, _check_degree)
 from .characteristics import Characteristic, act, enumerate_even_mod2, is_even
 from .character import chi, phase_full, EighthRoot
 from .symplectic import SymplecticMatrix, is_level2
@@ -44,6 +44,8 @@ class SiegelPoint:
         mat = np.array(tau, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NotUpperHalfSpace(f"tau must be square, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise NotUpperHalfSpace("tau has a non-finite entry")
         if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
             raise NotUpperHalfSpace("tau is not symmetric within 1e-12")
         if _min_eig(mat.imag) <= 0.0:
@@ -97,8 +99,7 @@ def theta_constant(m: Characteristic, point: SiegelPoint,
     where R comes from truncation_radius unless an explicit radius is given.
     The summation order is fixed, so results are deterministic for a fixed R.
     """
-    if m.g != point.g:
-        raise DegreeMismatch(f"characteristic degree {m.g} != point degree {point.g}")
+    _check_degree(m, point)
     if tail_tol <= 0.0:
         raise NonPositiveTolerance("tail_tol must be positive")
     r = truncation_radius(m, point, tail_tol) if radius is None else int(radius)
@@ -132,8 +133,7 @@ def theta_constant(m: Characteristic, point: SiegelPoint,
 
 def _factor(mat: SymplecticMatrix, point: SiegelPoint) -> np.ndarray:
     """c tau + d as a complex array, checked for conditioning."""
-    if mat.g != point.g:
-        raise DegreeMismatch(f"matrix degree {mat.g} != point degree {point.g}")
+    _check_degree(mat, point)
     den = mat.c.astype(float) @ point.tau + mat.d.astype(float)
     if np.linalg.cond(den) > COND_LIMIT:
         raise SingularFactor("c tau + d is numerically singular")

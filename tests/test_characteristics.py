@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelchi import (Characteristic, DegreeMismatch, ParityMismatch, act,
-                       characteristic, delta, enumerate_even_mod2, generator,
+                       characteristic, delta, enumerate_even_mod2,
+                       enumerate_mod2, generator,
                        is_even, multiply, parity, random_word,
                        shift, sign_shift_exponent, solve_preimage,
                        word_to_matrix)
@@ -49,6 +50,13 @@ def test_enumerate_even_counts():
                   if sum(bits[i] * bits[g + i] for i in range(g)) % 2 == 0}
         assert {m.vector() for m in evens} == oracle
         assert all(is_even(m) for m in evens)
+
+
+def test_enumerate_mod2_is_lexicographic_and_complete():
+    for g in (1, 2, 3):
+        vectors = [m.vector() for m in enumerate_mod2(g)]
+        assert vectors == list(itertools.product((0, 1), repeat=2 * g))
+        assert enumerate_even_mod2(g) == [m for m in enumerate_mod2(g) if is_even(m)]
 
 
 def test_enumerate_even_lexicographic():

@@ -1,6 +1,11 @@
+import hashlib
 import json
 
+import pytest
 
+from siegelchi import (generator, is_igusa48, is_level2, is_level4,
+                       matrix_power, random_igusa48, random_word, serialize,
+                       word_to_matrix)
 from siegelchi.cli import main
 
 IDENTITY = {"g": 1, "m": [[1, 0], [0, 1]]}
@@ -71,6 +76,18 @@ def test_chi_parse_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload, argv", [
+    ({"g": "x", "m": [[1, 0], [0, 1]]}, ["chi", "--char", "1,0"]),
+    ({"g": 1, "m": [[True, False], [False, True]]}, ["member"]),
+    (B11, ["chi", "--char", "1,0,1"]),
+], ids=["non-integer-g", "boolean-entries", "odd-length-characteristic"])
+def test_parse_errors_exit_2_without_traceback(tmp_path, capsys, payload, argv):
+    path = write(tmp_path, "m.json", payload)
+    code, out, err = run(capsys, *argv, "--matrix", path)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -127,6 +144,38 @@ def test_member_non_symplectic(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["sp"] is False and data["level2"] is False
+
+
+@pytest.mark.parametrize("entries, payload", [
+    (NOT_SP["m"], {"sp": False, "level2": False, "level4": False, "igusa48": False}),
+    ([[1, 8], [8, 1]], {"sp": False, "level2": True, "level4": True, "igusa48": True}),
+])
+def test_member_non_symplectic_payload(tmp_path, capsys, entries, payload):
+    path = write(tmp_path, "m.json", {"g": 1, "m": entries})
+    code, out, _ = run(capsys, "member", "--matrix", path)
+    assert code == 0
+    assert json.loads(out) == payload
+
+
+def test_member_agrees_with_library_predicates(tmp_path, capsys):
+    mats = []
+    for g in (1, 2, 3):
+        for seed in range(3):
+            mats.append(word_to_matrix(random_word(g, 6, seed)))
+            mats.append(random_igusa48(g, seed))
+            for kind in "BC":  # near-misses: I mod 4, a diagonal 4 mod 8
+                square = matrix_power(generator(kind, seed % g + 1, seed % g + 1, g), 2)
+                mats.append(square @ random_igusa48(g, seed))
+    seen = set()
+    for mat in mats:
+        path = write(tmp_path, "m.json", serialize.matrix_to_dict(mat))
+        code, out, _ = run(capsys, "member", "--matrix", path)
+        assert code == 0
+        expected = {"sp": True, "level2": is_level2(mat), "level4": is_level4(mat),
+                    "igusa48": is_igusa48(mat)}
+        assert json.loads(out) == expected
+        seen.add((expected["level4"], expected["igusa48"]))
+    assert {(True, True), (True, False), (False, False)} <= seen
 
 
 def test_member_odd_dimension(tmp_path, capsys):
@@ -223,17 +272,37 @@ def test_verify_rejects_bad_config(capsys):
     assert code == 2
 
 
-def test_verify_thread_cap_does_not_change_report(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    code, _, _ = run(capsys, "verify", "--g", "1", "--seed", "3",
-                     "--trials", "10", "--no-timestamp", "--output", str(serial))
+@pytest.mark.parametrize("argv", [
+    ["random", "--g", "0"],
+    ["verify", "--word-length", "0"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tail-tol", "inf"],
+], ids=["random-g-0", "word-length-0", "tol-nan", "tail-tol-inf"])
+def test_bad_config_exits_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+# sha256 of the exact suites A, B, D, E of `verify --seed 42 --no-timestamp`,
+# plus suite C's pass/fail and counts; C's floats depend on the BLAS build.
+GOLDEN_EXACT_SUITES = {
+    (1, 100): "cab3f8713ccc89eb4f336f9b238ca1e3e461210a1c75c3b4069f5d7f109885f1",
+    (2, 20): "194a8b9e6e1319bb9fe2aa25971899d8e7dd9394fe0bba3dc27724eeb01a3647",
+}
+
+
+@pytest.mark.parametrize("g, trials", sorted(GOLDEN_EXACT_SUITES))
+def test_verify_exact_suites_match_golden_digest(capsys, g, trials):
+    code, out, _ = run(capsys, "verify", "--g", str(g), "--trials", str(trials),
+                       "--seed", "42", "--no-timestamp")
     assert code == 0
-    monkeypatch.setenv("SIEGEL_CHAR_THREADS", "4")
-    code, _, _ = run(capsys, "verify", "--g", "1", "--seed", "3",
-                     "--trials", "10", "--no-timestamp", "--output", str(threaded))
-    assert code == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+    suites = json.loads(out)["suites"]
+    numeric = suites.pop("C_numeric")
+    suites["C_numeric"] = {k: numeric[k] for k in
+                           ("passed", "failures", "character_trials", "product_trials")}
+    digest = hashlib.sha256(json.dumps(suites, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_EXACT_SUITES[g, trials]
 
 
 def test_table_degree_three_under_five_seconds(capsys):

@@ -19,6 +19,8 @@ def test_matrix_dict_validation():
         serialize.matrix_from_dict({"g": 2, "m": [[1, 0], [0, 1]]})  # wrong g
     with pytest.raises(BadShape):
         serialize.matrix_from_dict([1, 2, 3])
+    with pytest.raises(BadShape):
+        serialize.matrix_from_dict({"g": "x", "m": [[1, 0], [0, 1]]})
 
 
 def test_word_roundtrip():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siegelchi import (BadShape, IndexOutOfRange, NotSymplectic, commutator,
-                       diag_vector, generator, identity, inverse, is_igusa48,
+from siegelchi import (BadShape, IndexOutOfRange, NotSymplectic, alphabet,
+                       commutator, diag_vector, generator, identity, inverse,
+                       is_igusa48,
                        is_level2, is_level4, make_matrix, matrix_power,
                        multiply, random_igusa48, random_word, word,
                        word_to_matrix)
@@ -46,6 +49,8 @@ def test_bad_shapes():
         make_matrix([[1, 0], [0, 1], [0, 0]])
     with pytest.raises(BadShape):
         make_matrix([[1.5, 0], [0, 1]])
+    with pytest.raises(BadShape):
+        make_matrix([[True, False], [False, True]])
 
 
 def test_asymmetric_ab_rejected():
@@ -236,6 +241,21 @@ def test_commutators_land_in_igusa_group():
             m1 = random_level2(g, rng, max_length=4)
             m2 = random_level2(g, rng, max_length=4)
             assert is_igusa48(commutator(m1, m2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 8),
+       st.integers(1, 4))
+def test_group_operations_stay_symplectic(g, seed, length, k):
+    # multiply, inverse and generator skip revalidation; make_matrix must
+    # accept everything they build.
+    x = word_to_matrix(random_word(g, length, seed))
+    y = word_to_matrix(random_word(g, length, seed + 1))
+    built = [x, inverse(x), matrix_power(x, k), matrix_power(x, -k),
+             commutator(x, y)]
+    built += [generator(kind, i, j, g) for kind, i, j in alphabet(g)]
+    for mat in built:
+        assert make_matrix(mat.entries) == mat
 
 
 def test_random_igusa48_always_in_subgroup():

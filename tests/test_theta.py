@@ -42,6 +42,13 @@ def test_point_validation():
         siegel_point([[1j, 0.0]])                      # not square
 
 
+@pytest.mark.parametrize("tau", [[[1j * math.inf]], [[math.nan + 1j]],
+                                 [[1j, 0.0], [0.0, math.inf * 1j]]])
+def test_point_rejects_non_finite_entries(tau):
+    with pytest.raises(NotUpperHalfSpace):
+        siegel_point(tau)
+
+
 def test_non_positive_tolerance():
     with pytest.raises(NonPositiveTolerance):
         theta_constant(characteristic(0, 0), TAU_I, tail_tol=0.0)
