@@ -22,8 +22,9 @@ from .character import (AbelianExponents, EighthRoot, PhaseValue, chi,
                         phase_full, phase_level2, word_exponents)
 from .theta import (DEFAULT_TAIL_TOL, DEFAULT_TOL, THETA_FLOOR, SiegelPoint,
                     VerificationReport, det_sqrt_factor, mobius, siegel_point,
-                    theta_constant, truncation_radius, verify_character,
-                    verify_igusa_product, verify_transformation_general)
+                    theta_constant, theta_constants, truncation_radius,
+                    verify_character, verify_igusa_product,
+                    verify_transformation_general)
 
 __version__ = "0.1.0"
 

@@ -188,6 +188,8 @@ def cmd_member(args) -> int:
 
 def cmd_random(args) -> int:
     _check_g(args.g)
+    if args.word_length < 0:
+        raise BadShape("word length must be non-negative")
     w = random_word(args.g, args.word_length, args.seed)
     payload = {"word": serialize.word_to_dict(w),
                "matrix": serialize.matrix_to_dict(word_to_matrix(w))}

@@ -74,8 +74,13 @@ def point_from_dict(data: dict) -> SiegelPoint:
         raise BadShape("point JSON needs 're' and 'im' fields")
     import numpy as np
 
-    tau = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    return SiegelPoint.make(tau)
+    try:
+        re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadShape(f"point 're' and 'im' must be numeric matrices: {exc}") from exc
+    if re.shape != im.shape:
+        raise BadShape(f"point 're' has shape {re.shape} but 'im' has {im.shape}")
+    return SiegelPoint.make(re + 1j * im)
 
 
 def exponents_to_dict(exps: AbelianExponents) -> dict:

@@ -1,6 +1,7 @@
-"""Floating-point theta constants by truncated lattice sums, the generalized
-Mobius action, and transformation-formula checks in which the unknown
-eighth-root multiplier cancels.
+"""Floating-point theta constants by lattice sums over an ellipsoid, the
+generalized Mobius action, and transformation-formula checks in which the
+unknown eighth-root multiplier cancels.  Every theta value is one batched
+sum, theta_constants, over the points of one enumerator, _lattice.
 
 All arithmetic here is binary64.  Exact statements live in the character
 module; this module only ever confirms them within an explicit tolerance.
@@ -9,9 +10,9 @@ module; this module only ever confirms them within an explicit tolerance.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,8 @@ DEFAULT_TOL = 1e-6
 THETA_FLOOR = 1e-4        # characteristics with |theta| below this are unusable
 SYMMETRY_TOL = 1e-12
 COND_LIMIT = 1e12
-_CHUNK = 1 << 17          # lattice points per summation block
+_BLOCK = 1 << 17          # most lattice points held in one array
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,32 +44,24 @@ class SiegelPoint:
     @classmethod
     def make(cls, tau) -> "SiegelPoint":
         mat = np.array(tau, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise NotUpperHalfSpace(f"tau must be square, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise NotUpperHalfSpace(f"tau must be square and non-empty, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise NotUpperHalfSpace("tau has a non-finite entry")
         if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
             raise NotUpperHalfSpace("tau is not symmetric within 1e-12")
-        if _min_eig(mat.imag) <= 0.0:
+        point = cls(g=mat.shape[0], tau=mat)
+        if point.im_min_eig <= 0.0:
             raise NotUpperHalfSpace("Im(tau) is not positive definite")
-        return cls(g=mat.shape[0], tau=mat)
+        return point
 
-    @property
+    @cached_property
     def im_min_eig(self) -> float:
-        return _min_eig(self.tau.imag)
+        y = self.tau.imag
+        return float(np.linalg.eigvalsh((y + y.T) / 2.0)[0])
 
     def __repr__(self):
         return f"SiegelPoint(g={self.g}, tau={self.tau.tolist()})"
-
-
-def _min_eig(y: np.ndarray) -> float:
-    sym = (y + y.T) / 2.0
-    try:
-        return float(np.linalg.eigvalsh(sym)[0])
-    except np.linalg.LinAlgError:
-        # Gershgorin lower bound as a fallback
-        return float(min(sym[i, i] - sum(abs(sym[i, j]) for j in range(sym.shape[0]) if j != i)
-                         for i in range(sym.shape[0])))
 
 
 def siegel_point(tau) -> SiegelPoint:
@@ -76,55 +70,85 @@ def siegel_point(tau) -> SiegelPoint:
 
 
 def truncation_radius(m: Characteristic, point: SiegelPoint, tail_tol: float) -> int:
-    """Box radius R making the discarded tail heuristically below tail_tol.
-
-    Terms decay like exp(-pi lam |v|^2) with lam the smallest eigenvalue of
-    Im(tau); a crude 3^g count factor absorbs the number of boundary boxes.
+    """Radius R of the ellipsoid v.Im(tau).v <= lam R^2 that theta_constants
+    sums, lam the smallest eigenvalue of Im(tau).  R exceeds the root of
+    pi lam R^2 = ln(3^g / tail_tol), so every term left out is below
+    3^-g tail_tol; the 3^g factor is a heuristic count, not a tail certificate.
     """
-    if tail_tol <= 0.0:
+    if not tail_tol > 0.0:
         raise NonPositiveTolerance("tail_tol must be positive")
-    lam = point.im_min_eig
-    if lam <= 0.0:
-        raise NotUpperHalfSpace("Im(tau) is not positive definite")
-    count = 3.0 ** point.g
-    base = math.sqrt(max(0.0, math.log(count / tail_tol)) / (math.pi * lam))
+    base = math.sqrt(max(0.0, math.log(3.0 ** point.g / tail_tol)) / (math.pi * point.im_min_eig))
     return math.ceil(base) + 2 + math.ceil(max(abs(int(x)) for x in m.m_prime) / 2)
+
+
+def _extend(u: np.ndarray, shift: np.ndarray, i: int, rows: np.ndarray, rest: np.ndarray):
+    """Prefix each row with each v_i in Z + shift_i within `rest`; return rows, radius left."""
+    centre = -(rows @ u[i, i + 1:]) / u[i, i]
+    width = np.sqrt(np.maximum(rest, 0.0)) / u[i, i]
+    lo = np.ceil(centre - width - shift[i])
+    count = np.maximum(np.floor(centre + width - shift[i]) - lo + 1.0, 0.0).astype(np.intp)
+    pick = np.repeat(np.arange(len(rows)), count)
+    step = np.arange(pick.size) - np.repeat(np.cumsum(count) - count, count)
+    vi = lo[pick] + step + shift[i]
+    return np.column_stack([vi, rows[pick]]), rest[pick] - (u[i, i] * (vi - centre[pick])) ** 2
+
+
+def _lattice(y: np.ndarray, shift: np.ndarray, rho2: float):
+    """Yield every v in Z^g + shift with v.y.v <= rho2, in a fixed order, as
+    (n x g) float blocks of about _BLOCK rows at most.
+
+    With y = U^T U, U upper triangular, v.y.v = sum_i U_ii^2 (v_i - c_i)^2 and
+    c_i = -sum_{j>i} U_ij v_j / U_ii: coordinates are fixed from the last to
+    the first within the radius the later ones leave (Fincke & Pohst, Math.
+    Comp. 44, 1985; Deconinck et al., Math. Comp. 73, 2004).  Bounds use rho2
+    enlarged by 1e-9 and each block is cut by v.y.v itself, so rounding in U
+    neither drops nor adds a point.
+    """
+    u = np.linalg.cholesky((y + y.T) / 2.0).T
+    rows, rest = np.zeros((1, 0)), np.array([rho2 * (1.0 + 1e-9)])
+    per = max(1, _BLOCK // (2 * int(math.sqrt(rest[0]) / u[0, 0]) + 2))
+    for i in range(len(y) - 1, 0, -1):
+        rows, rest = _extend(u, shift, i, rows, rest)
+    for a in range(0, len(rows), per):
+        v, _ = _extend(u, shift, 0, rows[a:a + per], rest[a:a + per])
+        yield v[np.einsum("ni,ij,nj->n", v, y, v) <= rho2]
+
+
+def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL,
+                    radius: int | None = None) -> list:
+    """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
+    one per characteristic in chars, in order.
+
+    The sum depends on m' only through its coset mod 2.  Each coset evaluates
+    the Gaussian once and gets all its m'' (non-binary ones too) from one
+    (N x k) product with the exact phases exp(pi i v.m'') = i^(2v.m'' mod 4).
+    It runs over the ellipsoid v.Y.v <= lam R^2, Y = Im(tau) with smallest
+    eigenvalue lam, R the given radius or else the coset's largest
+    truncation_radius.  As v.Y.v >= lam |v|^2, the ellipsoid lies inside the
+    box |v|_inf <= R and keeps exactly the terms of modulus at least
+    exp(-pi lam R^2); truncation_radius makes that at most 3^-g tail_tol, so
+    every term left out is smaller.  The summation order is fixed.
+    """
+    cosets = {}
+    for m in chars:
+        _check_degree(m, point)
+        cosets.setdefault(tuple(int(x) % 2 for x in m.m_prime), []).append(m)
+    values = {}
+    for shift, ms in cosets.items():
+        r = radius if radius is not None else max(truncation_radius(m, point, tail_tol) for m in ms)
+        mpp = np.array([[int(x) for x in m.m_double] for m in ms], dtype=np.int64).T
+        total = np.zeros(len(ms), dtype=complex)
+        for v in _lattice(point.tau.imag, np.array(shift) / 2.0, point.im_min_eig * r * r):
+            gauss = np.exp(1j * math.pi * np.einsum("ni,ni->n", v @ point.tau, v))
+            total += gauss @ _I_POWERS[(np.rint(2.0 * v).astype(np.int64) @ mpp) % 4]
+        values.update(zip(ms, total.tolist()))
+    return [values[m] for m in chars]
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint,
                    tail_tol: float = DEFAULT_TAIL_TOL, radius: int | None = None) -> complex:
-    """Truncated lattice sum for the theta constant at characteristic m.
-
-    Sums exp(pi i (v.tau v + v.m'')) over v = p + m'/2 with |v|_inf <= R,
-    where R comes from truncation_radius unless an explicit radius is given.
-    The summation order is fixed, so results are deterministic for a fixed R.
-    """
-    _check_degree(m, point)
-    if tail_tol <= 0.0:
-        raise NonPositiveTolerance("tail_tol must be positive")
-    r = truncation_radius(m, point, tail_tol) if radius is None else int(radius)
-    g = point.g
-    mp = [int(x) for x in m.m_prime]
-    mpp = np.array([int(x) for x in m.m_double], dtype=float)
-    half = np.array(mp, dtype=float) / 2.0
-    ranges = [range(math.ceil(-r - mp[i] / 2.0), math.floor(r - mp[i] / 2.0) + 1)
-              for i in range(g)]
-    # m'.m''/2 enters every term; keep it separate so the integer part of the
-    # linear form can be reduced mod 2 exactly.
-    pairing_half = float(sum(a * b for a, b in zip(m.m_prime, m.m_double))) / 2.0
-
-    total = 0.0 + 0.0j
-    points_iter = itertools.product(*ranges)
-    while True:
-        block = list(itertools.islice(points_iter, _CHUNK))
-        if not block:
-            break
-        p = np.array(block, dtype=float)
-        v = p + half
-        quad = np.einsum("ni,ij,nj->n", v, point.tau, v)
-        lin = np.mod(p @ mpp + pairing_half, 2.0)
-        total += complex(np.exp(1j * math.pi * (quad + lin)).sum())
-    return total
+    """The theta constant at one characteristic; see theta_constants."""
+    return theta_constants([m], point, tail_tol, radius)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +214,10 @@ def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationRe
                               tolerance=float(tol), passed=bool(ok))
 
 
-def _usable_even(point: SiegelPoint, tail_tol: float):
-    """Even mod-2 representatives whose theta constant clears the floor."""
-    out = []
-    for m in enumerate_even_mod2(point.g):
-        val = theta_constant(m, point, tail_tol)
-        if abs(val) > THETA_FLOOR:
-            out.append((m, val))
-    return out
+def _usable(chars, point: SiegelPoint, tail_tol: float) -> list:
+    """(m, theta) for each m in chars whose theta constant clears the floor."""
+    return [(m, val) for m, val in zip(chars, theta_constants(chars, point, tail_tol))
+            if abs(val) > THETA_FLOOR]
 
 
 def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
@@ -211,16 +231,14 @@ def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
     """
     if not is_level2(mat):
         raise NotLevel2("verify_character needs M = I mod 2")
-    usable = _usable_even(point, tail_tol)
+    usable = _usable(enumerate_even_mod2(point.g), point, tail_tol)
     if len(usable) < 2:
         raise TooFewUsable(f"only {len(usable)} theta constants above the floor")
     moved = mobius(mat, point)
     root = det_sqrt_factor(mat, point)
-    labels, ratios = [], []
-    for m, val in usable:
-        top = theta_constant(m, moved, tail_tol)
-        ratios.append(top / (root * val) / chi(m, mat).value)
-        labels.append(m)
+    labels = [m for m, _ in usable]
+    tops = theta_constants(labels, moved, tail_tol)
+    ratios = [top / (root * val) / chi(m, mat).value for (m, val), top in zip(usable, tops)]
     return _assemble_report(labels, ratios, tol)
 
 
@@ -235,20 +253,13 @@ def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoi
     """
     moved = mobius(mat, point)
     root = det_sqrt_factor(mat, point)
-    labels, ratios = [], []
-    for m in m_set:
-        if not is_even(m):
-            continue
-        val = theta_constant(m, point, tail_tol)
-        if abs(val) <= THETA_FLOOR:
-            continue
-        top = theta_constant(act(mat, m), moved, tail_tol)
-        phase = EighthRoot(phase_full(m, mat).eighths).value
-        ratios.append(top / (phase * root * val))
-        labels.append(m)
-    if len(ratios) < 2:
-        raise TooFewUsable(f"only {len(ratios)} theta constants above the floor")
-    return _assemble_report(labels, ratios, tol)
+    usable = _usable([m for m in m_set if is_even(m)], point, tail_tol)
+    if len(usable) < 2:
+        raise TooFewUsable(f"only {len(usable)} theta constants above the floor")
+    tops = theta_constants([act(mat, m) for m, _ in usable], moved, tail_tol)
+    ratios = [top / (EighthRoot(phase_full(m, mat).eighths).value * root * val)
+              for (m, val), top in zip(usable, tops)]
+    return _assemble_report([m for m, _ in usable], ratios, tol)
 
 
 def verify_igusa_product(m: Characteristic, n: Characteristic,
@@ -266,33 +277,22 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
         raise NotLevel2("verify_igusa_product needs M = I mod 2")
     if not (is_even(m) and is_even(n)):
         raise TooFewUsable("product verification needs even characteristics")
-    usable = _usable_even(point, tail_tol)
-    if len(usable) < 2:
-        raise TooFewUsable(f"only {len(usable)} theta constants above the floor")
+    evens = enumerate_even_mod2(point.g)
+    extra = [x for x in dict.fromkeys((m, n)) if x not in evens]
+    values = dict(_usable(evens + extra, point, tail_tol))
+    if len(values.keys() - extra) < 2:
+        raise TooFewUsable(f"only {len(values.keys() - extra)} theta constants above the floor")
     moved = mobius(mat, point)
     det = complex(np.linalg.det(_factor(mat, point)))
-    values = {mm: val for mm, val in usable}
-    moved_values = {mm: theta_constant(mm, moved, tail_tol) for mm in values}
-    for extra in (m, n):
-        if extra not in values:
-            val = theta_constant(extra, point, tail_tol)
-            if abs(val) <= THETA_FLOOR:
-                raise TooFewUsable("requested characteristic below the theta floor")
-            values[extra] = val
-            moved_values[extra] = theta_constant(extra, moved, tail_tol)
-
+    if m not in values or n not in values:
+        raise TooFewUsable("requested characteristic below the theta floor")
+    moved_values = dict(zip(values, theta_constants(list(values), moved, tail_tol)))
     keys = list(values)
-    pairs = [(m, n)] + [(keys[s], keys[t])
-                        for s in range(len(keys)) for t in range(s, len(keys))]
-    labels, ratios = [], []
-    seen = set()
-    for mm, nn in pairs:
-        tag = frozenset(((mm.vector()), (nn.vector())))
-        if tag in seen:
-            continue
-        seen.add(tag)
-        character = (chi(mm, mat) * chi(nn, mat)).value
-        ratio = (moved_values[mm] * moved_values[nn]) / (det * values[mm] * values[nn] * character)
-        labels.append((mm, nn))
-        ratios.append(ratio)
+    pairs = {}
+    for a, b in [(m, n)] + [(a, b) for s, a in enumerate(keys) for b in keys[s:]]:
+        pairs.setdefault(frozenset((a, b)), (a, b))
+    labels = list(pairs.values())
+    ratios = [(moved_values[a] * moved_values[b])
+              / (det * values[a] * values[b] * (chi(a, mat) * chi(b, mat)).value)
+              for a, b in labels]
     return _assemble_report(labels, ratios, tol, unit_power=4)

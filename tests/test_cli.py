@@ -277,7 +277,9 @@ def test_verify_rejects_bad_config(capsys):
     ["verify", "--word-length", "0"],
     ["verify", "--tol", "nan"],
     ["verify", "--tail-tol", "inf"],
-], ids=["random-g-0", "word-length-0", "tol-nan", "tail-tol-inf"])
+    ["random", "--word-length", "-3"],
+], ids=["random-g-0", "word-length-0", "tol-nan", "tail-tol-inf",
+        "random-word-length-negative"])
 def test_bad_config_exits_2_without_traceback(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

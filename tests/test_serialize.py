@@ -45,8 +45,12 @@ def test_point_roundtrip():
     back = serialize.point_from_dict(data)
     assert back.g == 2
     assert abs(back.tau[0, 1] - 0.1) < 1e-15
-    with pytest.raises(BadShape):
-        serialize.point_from_dict({"re": [[0.0]]})
+    for bad in ({"re": [[0.0]]},
+                {"re": [[1, 2], [3]], "im": [[1]]},                  # ragged
+                {"re": [[0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]},     # shapes differ
+                {"re": [["x"]], "im": [[1.0]]}):
+        with pytest.raises(BadShape):
+            serialize.point_from_dict(bad)
 
 
 def test_eighth_root_dict():

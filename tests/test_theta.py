@@ -1,17 +1,22 @@
 import cmath
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siegelchi import (Characteristic, NonPositiveTolerance, NotLevel2,
                        NotUpperHalfSpace, TooFewUsable,
                        characteristic, det_sqrt_factor, enumerate_even_mod2,
                        generator, identity, make_matrix, mobius, multiply,
                        parity, random_word, shift, siegel_point,
-                       sign_shift_exponent, theta_constant, truncation_radius,
-                       verify_character, verify_igusa_product,
+                       sign_shift_exponent, theta_constant, theta_constants,
+                       truncation_radius, verify_character, verify_igusa_product,
                        verify_transformation_general, word_to_matrix)
+from siegelchi.theta import _lattice
 
 from util import random_sp, random_tau, seeded
 
@@ -40,6 +45,8 @@ def test_point_validation():
         siegel_point([[-1j]])                          # Im not positive definite
     with pytest.raises(NotUpperHalfSpace):
         siegel_point([[1j, 0.0]])                      # not square
+    with pytest.raises(NotUpperHalfSpace):
+        siegel_point(np.zeros((0, 0)))                 # empty
 
 
 @pytest.mark.parametrize("tau", [[[1j * math.inf]], [[math.nan + 1j]],
@@ -97,6 +104,60 @@ def test_truncation_radius_doubling():
             a = theta_constant(m, point, radius=r)
             b = theta_constant(m, point, radius=2 * r)
             assert abs(a - b) < 1e-12
+
+
+_entries = st.one_of(st.integers(-1, 1).map(float), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+# two points with v.y.v = 3 exactly, which rounding in the Cholesky factor
+# would push outside, and two (v = +-1) just outside the enlarged bounds
+@example(([-0.4884079572441151, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, -1.0, 1.0], 1.0, [0, 0, 0], 3.0))
+@example(([0.0], 1.0, [0], 1.0 - 5e-10))
+@given(st.integers(1, 3).flatmap(lambda g: st.tuples(
+           st.lists(_entries, min_size=g * g, max_size=g * g),
+           st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0)),
+           st.lists(st.integers(0, 1), min_size=g, max_size=g),
+           st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0)))))
+def test_lattice_is_the_ellipsoid(case):
+    entries, boost, bits, rho2 = case
+    g = len(bits)
+    a = np.array(entries).reshape(g, g)
+    y = a @ a.T + boost * np.eye(g)
+    shift = np.array(bits) / 2.0
+    blocks = list(_lattice(y, shift, rho2))
+    got = [tuple(np.rint(2 * v).astype(int)) for block in blocks for v in block]
+    reach = math.ceil(math.sqrt(rho2 / np.linalg.eigvalsh(y)[0])) + 1
+    box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=g))) + shift
+    inside = box[np.einsum("ni,ij,nj->n", box, y, box) <= rho2]
+    assert len(got) == len(set(got))
+    assert set(got) == {tuple(np.rint(2 * v).astype(int)) for v in inside}
+
+
+def test_batched_matches_single_characteristic():
+    rng = seeded(65)
+    for g in (1, 2, 3):
+        for _ in range(4):
+            point = random_tau(g, rng)
+            chars = [Characteristic.from_vector([rng.randint(-3, 3) for _ in range(2 * g)])
+                     for _ in range(8)] + enumerate_even_mod2(g)
+            batch = theta_constants(chars, point)
+            for m, value in zip(chars, batch):
+                assert abs(value - theta_constant(m, point)) < 1e-14
+
+
+@pytest.mark.parametrize("tau", [0.37 + 0.08j, -0.45 + 0.12j, 0.1 + 0.3j,
+                                 1j, 0.2 + 3.5j, -0.8 + 6.0j])
+def test_genus_one_matches_jacobi_theta(tau):
+    # theta[a, b](tau) with q = e^(pi i tau): [0,0] -> theta_3, [1,0] -> theta_2,
+    # [0,1] -> theta_4 and [1,1] -> theta_1 = 0 at z = 0.
+    point = siegel_point([[tau]])
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        for (a, b), kind in {(0, 0): 3, (1, 0): 2, (0, 1): 4, (1, 1): 1}.items():
+            ref = complex(mpmath.jtheta(kind, 0, q))
+            value = theta_constant(characteristic(a, b), point)
+            assert abs(value - ref) < 1e-13 * max(1.0, abs(ref)), (a, b, value, ref)
 
 
 def test_shift_sign_rule():
