@@ -13,12 +13,13 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InterpolationInconsistent, NotLevel2, _check_degree
-from .characteristics import (Characteristic, _halves, delta,
-                              enumerate_even_mod2, sign_shift_exponent,
-                              solve_preimage)
-from .symplectic import (GeneratorWord, SymplecticMatrix, _check_indices,
-                         is_level2)
+from .characteristics import (Characteristic, _halves, enumerate_even_mod2,
+                              enumerate_mod2)
+from .symplectic import (GeneratorWord, SymplecticMatrix, _blocks,
+                         _check_indices, congruent_to_identity, is_level2)
 
 _SYMBOLS = ("1", "ζ8", "i", "iζ8", "-1", "-ζ8", "-i", "-iζ8")
 
@@ -119,23 +120,60 @@ def phase_level2(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
     return PhaseValue(raw_numerator=int(num))
 
 
-def delta_sign_bit(m: Characteristic, mat: SymplecticMatrix) -> int:
-    """Bit s with (-1)^s the correction sign in the character formula.
+def _chi_rows(mat: SymplecticMatrix, chars) -> tuple:
+    """The one character kernel: exponents k and sign bits s of chi(m, mat)
+    for each m in chars, as two int64 arrays in the order of chars.
 
-    s = m' . delta'' mod 2 where delta = (n - m)/2 and n is the exact
-    preimage of m under the affine action of mat.
+    chi(m, M) = e(phi) (-1)^s with -8 phi = m'.(b^T d).m' + m''.(a^T c).m''
+    - 2 (a b^T)_0.(d m') and s = m'.delta'' mod 2, delta = (n - m)/2 for the
+    exact preimage n of m under the affine action, whose second half is
+    n'' = b^T m' + d^T m'' - b^T (c d^T)_0 - d^T (a b^T)_0.  So k = 8 phi + 4 s,
+    and every term depends only on M mod 8 and m mod 2:
+
+    * m mod 2.  M = I mod 2 makes b^T d, a^T c and (a b^T)_0 even, so m -> m + 2n
+      changes the phase numerator by a multiple of 8.  The preimage is affine
+      in m with linear part (a^T c^T; b^T d^T) = I mod 2, so delta changes by
+      an even vector and s, delta'' mod 2 included, is unchanged.
+    * M mod 8.  The phase numerator is needed mod 8: b^T d and a^T c mod 8,
+      (a b^T)_0.(d m') mod 4.  The sign needs n'' mod 4.  As b, d - I and
+      (a b^T)_0 are even, d^T (a b^T)_0 = (a b^T)_0 and b^T (c d^T)_0 = 0 mod 4,
+      so (a b^T)_0 enters mod 4 and (c d^T)_0 drops out.
+
+    Entries are reduced mod 8 before the int64 cast, so nothing overflows
+    however large M is.  Raises NotLevel2 unless M = I mod 2, and
+    DegreeMismatch for an m of another degree.
     """
-    return sign_shift_exponent(m, delta(m, solve_preimage(mat, m)))
+    g = mat.g
+    m8 = (mat.entries % 8).astype(np.int64)
+    if not congruent_to_identity(m8, 2):
+        raise NotLevel2("matrix not congruent to I mod 2")
+    for m in chars:
+        _check_degree(m, mat)
+    x = (np.array([m.vector() for m in chars], dtype=object) % 2).astype(np.int64)
+    p, q = x[:, :g], x[:, g:]
+    a, b, c, d = _blocks(m8)
+    ab0 = (a * b).sum(1)                                # (a b^T)_0
+    num = ((p @ (b.T @ d)) * p).sum(1) + ((q @ (a.T @ c)) * q).sum(1) - 2 * (p @ ab0)
+    n2 = p @ b + q @ d - ab0                            # n'' mod 4
+    s = (p * ((n2 - q) // 2)).sum(1) % 2
+    return (4 * s - num) % 8, s
 
 
 def chi(m: Characteristic, mat: SymplecticMatrix) -> EighthRoot:
-    """Character value e(phase) * (-1)^(m'.delta'') at a level-2 matrix.
+    """Character value e(phase) * (-1)^(m'.delta'') at a level-2 matrix, for
+    every integer characteristic, odd ones included; see _chi_rows."""
+    return EighthRoot(int(_chi_rows(mat, [m])[0][0]))
 
-    Defined for every integer characteristic, odd ones included; the formula
-    is purely algebraic.  phase_level2 checks the degree and M = I mod 2.
-    """
-    t = phase_level2(m, mat)
-    return EighthRoot(t.eighths + 4 * delta_sign_bit(m, mat))
+
+def delta_sign_bit(m: Characteristic, mat: SymplecticMatrix) -> int:
+    """Bit s with (-1)^s the correction sign in the character formula:
+    s = m'.delta'' mod 2, see _chi_rows."""
+    return int(_chi_rows(mat, [m])[1][0])
+
+
+def chi_exponents(mat: SymplecticMatrix) -> np.ndarray:
+    """Exponents of chi at all 4^g binary characteristics, in enumerate_mod2 order."""
+    return _chi_rows(mat, enumerate_mod2(mat.g))[0]
 
 
 def chi_generator(m: Characteristic, kind: str, i: int, j: int) -> EighthRoot:
@@ -239,12 +277,15 @@ def _basis_char(g, prime_ones=(), double_ones=()):
 def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
     """Recover the exponent table of a level-2 matrix by character interpolation.
 
-    Probes chi once at each unit and two-unit characteristic and inverts the
-    closed form.  Any residual that is not divisible by the expected power of
-    two would falsify the closed form, so it aborts loudly instead of guessing.
+    Probes chi at each unit and two-unit characteristic in one kernel pass
+    and inverts the closed form.  Any residual that is not divisible by the
+    expected power of two would falsify the closed form, so it aborts loudly
+    instead of guessing.
     """
     g = mat.g
-    probes = {pt: chi(_basis_char(g, *pt), mat).k for pt in _probe_points(g)}
+    points = list(_probe_points(g))
+    ks = _chi_rows(mat, [_basis_char(g, *pt) for pt in points])[0]
+    probes = dict(zip(points, ks.tolist()))
 
     def quarter(residual, what):
         if residual % 4 != 0:
@@ -325,7 +366,8 @@ def igusa_product_character(m: Characteristic, n: Characteristic,
 
 def chi_even_values(mat: SymplecticMatrix) -> dict:
     """Character exponents over all even mod-2 representatives."""
-    return {m: chi(m, mat).k for m in enumerate_even_mod2(mat.g)}
+    evens = enumerate_even_mod2(mat.g)
+    return dict(zip(evens, _chi_rows(mat, evens)[0].tolist()))
 
 
 def is_chi_constant_over_even(mat: SymplecticMatrix) -> bool:

@@ -1,4 +1,4 @@
-"""Theta characteristics: parity, the affine matrix action and its exact inverse.
+"""Theta characteristics: parity, enumeration mod 2 and the affine matrix action.
 
 A characteristic is an integer vector of length 2g split into halves
 (m', m'').  Values are never reduced mod 2 automatically; the exact integer
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeMismatch, ParityMismatch, _check_degree
+from .errors import DegreeMismatch, _check_degree
 from .symplectic import SymplecticMatrix
 
 
@@ -97,35 +97,6 @@ def act(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
     bot = -mat.b @ mp + mat.a @ mpp + mat.ab_diag()
     return Characteristic(g=m.g, m_prime=tuple(int(x) for x in top),
                           m_double=tuple(int(x) for x in bot))
-
-
-def solve_preimage(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
-    """The unique n with act(mat, n) == m, by the closed block-transpose form."""
-    _check_degree(mat, m)
-    mp, mpp = _halves(m)
-    cd0, ab0 = mat.cd_diag(), mat.ab_diag()
-    top = mat.a.T @ mp + mat.c.T @ mpp - mat.a.T @ cd0 - mat.c.T @ ab0
-    bot = mat.b.T @ mp + mat.d.T @ mpp - mat.b.T @ cd0 - mat.d.T @ ab0
-    n = Characteristic(g=m.g, m_prime=tuple(int(x) for x in top),
-                       m_double=tuple(int(x) for x in bot))
-    assert act(mat, n) == m, "closed-form preimage must invert the action"
-    return n
-
-
-def delta(m: Characteristic, n: Characteristic) -> Characteristic:
-    """Componentwise (n - m) / 2; exact, so the halves must agree mod 2."""
-    _check_degree(m, n)
-    diff = [b - a for a, b in zip(m.vector(), n.vector())]
-    if any(x % 2 for x in diff):
-        raise ParityMismatch("characteristics differ by an odd vector")
-    half = [x // 2 for x in diff]
-    return Characteristic.from_vector(half)
-
-
-def sign_shift_exponent(m: Characteristic, n: Characteristic) -> int:
-    """Exponent bit of the sign relating the theta constant at m + 2n to the one at m."""
-    _check_degree(m, n)
-    return sum(p * q for p, q in zip(m.m_prime, n.m_double)) % 2
 
 
 def shift(m: Characteristic, n: Characteristic) -> Characteristic:

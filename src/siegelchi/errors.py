@@ -28,10 +28,6 @@ class IndexOutOfRange(SiegelChiError):
     """Generator index outside the legal range for its kind."""
 
 
-class ParityMismatch(SiegelChiError):
-    """Two characteristics are not congruent mod 2 componentwise."""
-
-
 class NotLevel2(SiegelChiError):
     """Matrix is not congruent to the identity mod 2."""
 

@@ -293,6 +293,8 @@ def alphabet(g: int) -> list:
 
 def random_word(g: int, length: int, seed: int) -> GeneratorWord:
     """Uniform letters with exponents +-1; deterministic for a fixed seed."""
+    if length < 0:
+        raise BadShape(f"word length must be non-negative, got {length}")
     rng = random.Random(seed)
     return _random_word(g, length, rng)
 

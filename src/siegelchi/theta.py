@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (NonPositiveTolerance, NotLevel2, NotUpperHalfSpace,
-                     SingularFactor, TooFewUsable, _check_degree)
-from .characteristics import Characteristic, act, enumerate_even_mod2, is_even
-from .character import chi, phase_full, EighthRoot
-from .symplectic import SymplecticMatrix, is_level2
+from .errors import (NonPositiveTolerance, NotUpperHalfSpace, SingularFactor,
+                     TooFewUsable, _check_degree)
+from .characteristics import Characteristic, act, is_even
+from .character import EighthRoot, chi_even_values, phase_full
+from .symplectic import SymplecticMatrix
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_TOL = 1e-6
@@ -43,7 +43,10 @@ class SiegelPoint:
 
     @classmethod
     def make(cls, tau) -> "SiegelPoint":
-        mat = np.array(tau, dtype=complex)
+        try:
+            mat = np.array(tau, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise NotUpperHalfSpace(f"tau must be a complex matrix: {exc}") from exc
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise NotUpperHalfSpace(f"tau must be square and non-empty, got shape {mat.shape}")
         if not np.isfinite(mat).all():
@@ -229,16 +232,15 @@ def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
     matrix; it is never compared against a predicted value, only tested for
     unit modulus and trivial eighth power.
     """
-    if not is_level2(mat):
-        raise NotLevel2("verify_character needs M = I mod 2")
-    usable = _usable(enumerate_even_mod2(point.g), point, tail_tol)
+    chis = chi_even_values(mat)         # raises NotLevel2 before any theta work
+    usable = _usable(list(chis), point, tail_tol)
     if len(usable) < 2:
         raise TooFewUsable(f"only {len(usable)} theta constants above the floor")
     moved = mobius(mat, point)
     root = det_sqrt_factor(mat, point)
     labels = [m for m, _ in usable]
     tops = theta_constants(labels, moved, tail_tol)
-    ratios = [top / (root * val) / chi(m, mat).value for (m, val), top in zip(usable, tops)]
+    ratios = [top / (root * val) / EighthRoot(chis[m]).value for (m, val), top in zip(usable, tops)]
     return _assemble_report(labels, ratios, tol)
 
 
@@ -271,13 +273,13 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     psi = theta_m theta_n transforms with det(c tau + d) and chi_m chi_n; the
     leftover factor (the squared multiplier) must be the same for every pair,
     and its fourth power must be 1.  The sweep covers the given pair plus all
-    usable even pairs; no square root is taken, so no branch enters.
+    usable even pairs; no square root is taken, so no branch enters.  chi
+    sees m mod 2 only, so the values at the even classes serve every pair.
     """
-    if not is_level2(mat):
-        raise NotLevel2("verify_igusa_product needs M = I mod 2")
+    chis = chi_even_values(mat)         # raises NotLevel2 before any theta work
     if not (is_even(m) and is_even(n)):
         raise TooFewUsable("product verification needs even characteristics")
-    evens = enumerate_even_mod2(point.g)
+    evens = list(chis)
     extra = [x for x in dict.fromkeys((m, n)) if x not in evens]
     values = dict(_usable(evens + extra, point, tail_tol))
     if len(values.keys() - extra) < 2:
@@ -293,6 +295,6 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
         pairs.setdefault(frozenset((a, b)), (a, b))
     labels = list(pairs.values())
     ratios = [(moved_values[a] * moved_values[b])
-              / (det * values[a] * values[b] * (chi(a, mat) * chi(b, mat)).value)
+              / (det * values[a] * values[b] * EighthRoot(chis[a.mod2()] + chis[b.mod2()]).value)
               for a, b in labels]
     return _assemble_report(labels, ratios, tol, unit_power=4)

@@ -1,22 +1,23 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelchi import (AbelianExponents, Characteristic, DegreeMismatch,
                        EighthRoot, NotLevel2, characteristic,
-                       chi, chi_even_values, chi_from_exponents, chi_generator,
-                       chi_word, delta_sign_bit, enumerate_even_mod2,
+                       chi, chi_even_values, chi_exponents, chi_from_exponents,
+                       chi_generator, chi_word, delta_sign_bit,
+                       enumerate_even_mod2, enumerate_mod2,
                        extract_abelian_exponents, generator, identity,
                        igusa_product_character, is_chi_constant_over_even,
                        is_igusa48, is_igusa48_up_to_sign, make_matrix,
                        matrix_power, multiply, phase_full, phase_level2,
                        random_igusa48, random_word, shift, word,
                        word_exponents, word_to_matrix)
-from siegelchi.symplectic import alphabet
+from siegelchi.symplectic import alphabet, congruent_to_identity
 
-from util import random_level2, seeded
+from util import chi_reference, random_level2, seeded
 
 
 def all_binary(g):
@@ -128,6 +129,7 @@ def test_chi_trivial_at_zero_characteristic():
 def test_chi_hand_values():
     b11 = generator("B", 1, 1, 1)
     assert chi(characteristic(1, 0), b11).k == 2  # value i
+    assert chi_exponents(b11).tolist() == [0, 0, 2, 2]  # at 00, 01, 10, 11
 
     mat = make_matrix([[5, 2], [2, 1]])
     assert chi(characteristic(1, 0), mat).k == 2
@@ -141,6 +143,10 @@ def test_chi_hand_values():
 def test_chi_requires_level2():
     with pytest.raises(NotLevel2):
         chi(characteristic(1, 0), make_matrix([[1, 1], [0, 1]]))
+    with pytest.raises(NotLevel2):
+        delta_sign_bit(characteristic(1, 0), make_matrix([[1, 1], [0, 1]]))
+    with pytest.raises(NotLevel2):
+        chi_exponents(make_matrix([[1, 1], [0, 1]]))
 
 
 def test_chi_degree_mismatch():
@@ -176,6 +182,63 @@ def test_chi_word_matches_matrix_path(seed, length):
     mat = word_to_matrix(w)
     for m in all_binary(2):
         assert chi_word(m, w).k == chi(m, mat).k
+
+
+# ---------------------------------------------------------------------------
+# The mod-8 kernel against the exact per-characteristic reference
+# ---------------------------------------------------------------------------
+
+def characteristics(g):
+    """Integer characteristics of degree g: binary, odd, small and beyond int64."""
+    entry = st.integers(-9, 9) | st.integers(-2**70, 2**70)
+    return st.lists(entry, min_size=2 * g, max_size=2 * g).map(Characteristic.from_vector)
+
+
+def assert_matches_reference(mat, extra):
+    """chi, delta_sign_bit and chi_exponents against chi_reference at every
+    binary characteristic and at each characteristic in extra."""
+    binary = enumerate_mod2(mat.g)
+    assert chi_exponents(mat).tolist() == [chi_reference(m, mat)[0] for m in binary]
+    for m in binary + list(extra):
+        assert (chi(m, mat).k, delta_sign_bit(m, mat)) == chi_reference(m, mat), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**9), st.integers(0, 30), st.data())
+def test_kernel_matches_reference_on_long_words(g, seed, length, data):
+    mat = word_to_matrix(random_word(g, length, seed))
+    assert_matches_reference(mat, data.draw(st.lists(characteristics(g), max_size=6)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**9), st.integers(1, 8), st.data())
+def test_kernel_matches_reference_beyond_int64(g, seed, length, data):
+    # Square until an entry no longer fits in int64; finite-order words never get there.
+    mat = word_to_matrix(random_word(g, length, seed))
+    for _ in range(70):
+        if max(abs(int(x)) for x in mat.entries.flat) >= 2**63:
+            break
+        mat = multiply(mat, mat)
+    assume(max(abs(int(x)) for x in mat.entries.flat) >= 2**63)
+    assert_matches_reference(mat, data.draw(st.lists(characteristics(g), max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**9), st.integers(0, 12), st.data())
+def test_kernel_invariant_under_gamma8(g, seed, length, data):
+    # Fourth powers of B(i,j), C(i,j) and of A(i,j) with i != j are = I mod 8.
+    pool = [(k, i, j) for k, i, j in alphabet(g) if not (k == "A" and i == j)]
+    letters = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((-4, 4))),
+                                 min_size=1, max_size=4))
+    k8 = word_to_matrix(word(g, [(*letter, e) for letter, e in letters]))
+    assert congruent_to_identity(k8.entries, 8)
+    mat = word_to_matrix(random_word(g, length, seed))
+    moved = multiply(mat, k8)
+    extra = data.draw(st.lists(characteristics(g), max_size=6))
+    assert_matches_reference(moved, extra)
+    assert chi_exponents(moved).tolist() == chi_exponents(mat).tolist()
+    for m in enumerate_mod2(g) + extra:
+        assert chi_reference(m, moved) == chi_reference(m, mat)
 
 
 # ---------------------------------------------------------------------------

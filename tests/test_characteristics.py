@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (Characteristic, DegreeMismatch, ParityMismatch, act,
-                       characteristic, delta, enumerate_even_mod2,
+from siegelchi import (Characteristic, DegreeMismatch, act,
+                       characteristic, enumerate_even_mod2,
                        enumerate_mod2, generator,
                        is_even, multiply, parity, random_word,
-                       shift, sign_shift_exponent, solve_preimage,
-                       word_to_matrix)
+                       shift, word_to_matrix)
 
-from util import random_level2, random_sp, seeded
+from util import (ParityMismatch, delta, random_level2, random_sp, seeded,
+                  sign_shift_exponent, solve_preimage)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,31 @@
+"""The library names that the benchmark and the demos rely on stay public,
+and every demo still runs to completion."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import siegelchi
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_names_are_exported():
+    source = (ROOT / "benchmarks" / "workloads.py").read_text(encoding="utf-8")
+    names = set(re.findall(r"\bsc\.([A-Za-z_]\w*)", source))
+    assert "chi" in names and "verify_character" in names
+    assert sorted(names - set(siegelchi.__all__)) == []
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -206,6 +206,8 @@ def test_random_word_deterministic():
     assert len(w1) == 12
     assert all(e in (-1, 1) for _, _, _, e in w1.letters)
     assert random_word(2, 12, 100) != w1
+    with pytest.raises(BadShape):
+        random_word(2, -3, 1)
 
 
 def test_word_validates_letters():

@@ -13,12 +13,12 @@ from siegelchi import (Characteristic, NonPositiveTolerance, NotLevel2,
                        characteristic, det_sqrt_factor, enumerate_even_mod2,
                        generator, identity, make_matrix, mobius, multiply,
                        parity, random_word, shift, siegel_point,
-                       sign_shift_exponent, theta_constant, theta_constants,
+                       theta_constant, theta_constants,
                        truncation_radius, verify_character, verify_igusa_product,
                        verify_transformation_general, word_to_matrix)
 from siegelchi.theta import _lattice
 
-from util import random_sp, random_tau, seeded
+from util import random_sp, random_tau, seeded, sign_shift_exponent
 
 TAU_I = siegel_point([[1j]])
 
@@ -47,6 +47,8 @@ def test_point_validation():
         siegel_point([[1j, 0.0]])                      # not square
     with pytest.raises(NotUpperHalfSpace):
         siegel_point(np.zeros((0, 0)))                 # empty
+    with pytest.raises(NotUpperHalfSpace):
+        siegel_point([[1j, 0], [0]])                   # ragged
 
 
 @pytest.mark.parametrize("tau", [[[1j * math.inf]], [[math.nan + 1j]],
@@ -257,6 +259,19 @@ def test_verify_character_random_words():
 
 
 def test_verify_character_requires_level2():
+    with pytest.raises(NotLevel2):
+        verify_character(make_matrix([[1, 1], [0, 1]]), TAU_I)
+
+
+def test_verify_igusa_product_requires_level2(monkeypatch):
+    # The level-2 check comes from the character kernel, before any theta sum.
+    def no_theta(*args, **kwargs):
+        raise AssertionError("theta work before the level-2 check")
+
+    monkeypatch.setattr("siegelchi.theta.theta_constants", no_theta)
+    zero = characteristic(0, 0)
+    with pytest.raises(NotLevel2):
+        verify_igusa_product(zero, zero, make_matrix([[1, 1], [0, 1]]), TAU_I)
     with pytest.raises(NotLevel2):
         verify_character(make_matrix([[1, 1], [0, 1]]), TAU_I)
 

@@ -1,11 +1,16 @@
 """Shared helpers for the test suite: samplers for the full symplectic group
-(beyond the level-2 alphabet) and random upper-half-space points."""
+(beyond the level-2 alphabet), random upper-half-space points, and the exact
+per-characteristic reference for the character (preimage, delta, shift sign)."""
 
 import random
 
 import numpy as np
 
-from siegelchi import SiegelPoint, make_matrix, multiply, random_word, word_to_matrix
+from siegelchi import (Characteristic, SiegelChiError, SiegelPoint, act,
+                       make_matrix, multiply, phase_level2, random_word,
+                       word_to_matrix)
+from siegelchi.characteristics import _halves
+from siegelchi.errors import _check_degree
 
 
 def random_level2(g, rng, max_length=6):
@@ -72,3 +77,47 @@ def random_tau(g, rng):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle for the character: one exact preimage solve per value
+# ---------------------------------------------------------------------------
+
+class ParityMismatch(SiegelChiError):
+    """Two characteristics are not congruent mod 2 componentwise."""
+
+
+def solve_preimage(mat, m):
+    """The unique n with act(mat, n) == m, by the closed block-transpose form."""
+    _check_degree(mat, m)
+    mp, mpp = _halves(m)
+    cd0, ab0 = mat.cd_diag(), mat.ab_diag()
+    top = mat.a.T @ mp + mat.c.T @ mpp - mat.a.T @ cd0 - mat.c.T @ ab0
+    bot = mat.b.T @ mp + mat.d.T @ mpp - mat.b.T @ cd0 - mat.d.T @ ab0
+    n = Characteristic(g=m.g, m_prime=tuple(int(x) for x in top),
+                       m_double=tuple(int(x) for x in bot))
+    assert act(mat, n) == m, "closed-form preimage must invert the action"
+    return n
+
+
+def delta(m, n):
+    """Componentwise (n - m) / 2; exact, so the halves must agree mod 2."""
+    _check_degree(m, n)
+    diff = [b - a for a, b in zip(m.vector(), n.vector())]
+    if any(x % 2 for x in diff):
+        raise ParityMismatch("characteristics differ by an odd vector")
+    half = [x // 2 for x in diff]
+    return Characteristic.from_vector(half)
+
+
+def sign_shift_exponent(m, n):
+    """Exponent bit of the sign relating the theta constant at m + 2n to the one at m."""
+    _check_degree(m, n)
+    return sum(p * q for p, q in zip(m.m_prime, n.m_double)) % 2
+
+
+def chi_reference(m, mat):
+    """(k, s) of chi(m, mat) on exact integers, with nothing reduced: the
+    level-2 phase plus 4 s, s = m'.delta'' mod 2 from the exact preimage."""
+    s = sign_shift_exponent(m, delta(m, solve_preimage(mat, m)))
+    return (phase_level2(m, mat).eighths + 4 * s) % 8, s
