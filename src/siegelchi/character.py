@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InterpolationInconsistent, NotLevel2, _check_degree
-from .characteristics import (Characteristic, _halves, enumerate_even_mod2,
-                              enumerate_mod2)
+from .characteristics import (Characteristic, _halves, enumerate_mod2,
+                              is_even)
 from .symplectic import (GeneratorWord, SymplecticMatrix, _blocks,
                          _check_indices, congruent_to_identity, is_level2)
 
@@ -159,21 +159,46 @@ def _chi_rows(mat: SymplecticMatrix, chars) -> tuple:
     return (4 * s - num) % 8, s
 
 
+def _chi_table(mat: SymplecticMatrix) -> tuple:
+    """(k, s) of _chi_rows at all 4^g binary characteristics in enumerate_mod2
+    order: every chi value at mat, as chi sees only m mod 2.  Built on the
+    first request and kept read-only in the instance dict of the immutable
+    mat, as functools.cached_property would; a matrix that is not level 2
+    gets none, so every request on it raises NotLevel2."""
+    table = vars(mat).get("_chi_table")
+    if table is None:
+        table = _chi_rows(mat, enumerate_mod2(mat.g))
+        for column in table:
+            column.setflags(write=False)
+        vars(mat)["_chi_table"] = table
+    return table
+
+
+def _row(m: Characteristic, mat: SymplecticMatrix) -> int:
+    """Index of m mod 2 in enumerate_mod2 order: its bits, most significant first."""
+    _check_degree(m, mat)
+    index = 0
+    for x in m.vector():
+        index = 2 * index + x % 2
+    return index
+
+
 def chi(m: Characteristic, mat: SymplecticMatrix) -> EighthRoot:
     """Character value e(phase) * (-1)^(m'.delta'') at a level-2 matrix, for
     every integer characteristic, odd ones included; see _chi_rows."""
-    return EighthRoot(int(_chi_rows(mat, [m])[0][0]))
+    return EighthRoot(int(_chi_table(mat)[0][_row(m, mat)]))
 
 
 def delta_sign_bit(m: Characteristic, mat: SymplecticMatrix) -> int:
     """Bit s with (-1)^s the correction sign in the character formula:
     s = m'.delta'' mod 2, see _chi_rows."""
-    return int(_chi_rows(mat, [m])[1][0])
+    return int(_chi_table(mat)[1][_row(m, mat)])
 
 
 def chi_exponents(mat: SymplecticMatrix) -> np.ndarray:
-    """Exponents of chi at all 4^g binary characteristics, in enumerate_mod2 order."""
-    return _chi_rows(mat, enumerate_mod2(mat.g))[0]
+    """Exponents of chi at all 4^g binary characteristics, in enumerate_mod2
+    order, as a fresh int64 array."""
+    return _chi_table(mat)[0].copy()
 
 
 def chi_generator(m: Characteristic, kind: str, i: int, j: int) -> EighthRoot:
@@ -277,15 +302,14 @@ def _basis_char(g, prime_ones=(), double_ones=()):
 def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
     """Recover the exponent table of a level-2 matrix by character interpolation.
 
-    Probes chi at each unit and two-unit characteristic in one kernel pass
-    and inverts the closed form.  Any residual that is not divisible by the
-    expected power of two would falsify the closed form, so it aborts loudly
-    instead of guessing.
+    Reads chi at each unit and two-unit characteristic from the matrix's
+    table and inverts the closed form.  Any residual that is not divisible by
+    the expected power of two would falsify the closed form, so it aborts
+    loudly instead of guessing.
     """
     g = mat.g
-    points = list(_probe_points(g))
-    ks = _chi_rows(mat, [_basis_char(g, *pt) for pt in points])[0]
-    probes = dict(zip(points, ks.tolist()))
+    ks = _chi_table(mat)[0].tolist()
+    probes = {pt: ks[_row(_basis_char(g, *pt), mat)] for pt in _probe_points(g)}
 
     def quarter(residual, what):
         if residual % 4 != 0:
@@ -366,8 +390,8 @@ def igusa_product_character(m: Characteristic, n: Characteristic,
 
 def chi_even_values(mat: SymplecticMatrix) -> dict:
     """Character exponents over all even mod-2 representatives."""
-    evens = enumerate_even_mod2(mat.g)
-    return dict(zip(evens, _chi_rows(mat, evens)[0].tolist()))
+    ks = _chi_table(mat)[0].tolist()
+    return {m: k for m, k in zip(enumerate_mod2(mat.g), ks) if is_even(m)}
 
 
 def is_chi_constant_over_even(mat: SymplecticMatrix) -> bool:

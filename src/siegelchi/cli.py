@@ -22,15 +22,15 @@ from .errors import (BadShape, DegreeMismatch, NotSymplectic,
                      SiegelChiError, TooFewUsable, _check_degree)
 from .characteristics import (Characteristic, act, enumerate_even_mod2,
                               enumerate_mod2, shift)
-from .character import (EighthRoot, PhaseValue, _chi_rows, chi_exponents,
-                        chi_from_exponents, chi_generator,
+from .character import (EighthRoot, PhaseValue, chi, chi_exponents,
+                        chi_from_exponents, chi_generator, delta_sign_bit,
                         extract_abelian_exponents, is_chi_constant_over_even,
                         phase_full, phase_level2)
-from .symplectic import (SymplecticMatrix, _int_matrix, _random_igusa48,
-                         _random_word, alphabet, congruent_to_identity,
-                         congruent_to_igusa48, generator, is_igusa48,
-                         is_igusa48_up_to_sign, make_matrix,
-                         matrix_power, multiply, random_word, word_to_matrix)
+from .symplectic import (SymplecticMatrix, _generator_power, _int_matrix,
+                         _random_igusa48, _random_word, alphabet,
+                         congruent_to_identity, congruent_to_igusa48, generator,
+                         is_igusa48, is_igusa48_up_to_sign, make_matrix,
+                         multiply, random_word, word_to_matrix)
 from .theta import (DEFAULT_TAIL_TOL, DEFAULT_TOL, SiegelPoint,
                     verify_character, verify_igusa_product)
 
@@ -120,7 +120,7 @@ def _parse_characteristic(text: str, mat: SymplecticMatrix) -> Characteristic:
 def cmd_chi(args) -> int:
     mat = _load_matrix(args.matrix)
     m = _parse_characteristic(args.char, mat)
-    k, s = (int(x[0]) for x in _chi_rows(mat, [m]))
+    k, s = chi(m, mat).k, delta_sign_bit(m, mat)
     out = serialize.eighth_root_to_dict(EighthRoot(k))
     payload = {"exponent": k,
                "value": out["value"],
@@ -302,7 +302,7 @@ def _pool_element(config: RunConfig, t: int) -> SymplecticMatrix:
     if draw < 0.8:
         return _random_igusa48(g, rng)
     i = rng.randint(1, g)
-    square = matrix_power(generator(rng.choice("BC"), i, i, g), 2)
+    square = _generator_power(rng.choice("BC"), i, i, g, 2)
     return multiply(square, _random_igusa48(g, rng))
 
 

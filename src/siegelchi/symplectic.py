@@ -82,7 +82,8 @@ def diag_vector(s) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
-    """Element of the degree-g integral symplectic group; see make_matrix."""
+    """Element of the degree-g integral symplectic group; see make_matrix.
+    Immutable, entries included, so character._chi_table caches on it."""
 
     g: int
     entries: np.ndarray
@@ -164,8 +165,11 @@ def multiply(m1: SymplecticMatrix, m2: SymplecticMatrix) -> SymplecticMatrix:
 
 def inverse(m: SymplecticMatrix) -> SymplecticMatrix:
     """Exact inverse via the block formula (d^T, -b^T; -c^T, a^T)."""
-    return SymplecticMatrix(g=m.g, entries=np.block([[m.d.T, -m.b.T],
-                                                     [-m.c.T, m.a.T]]))
+    g = m.g
+    out = np.empty((2 * g, 2 * g), dtype=object)
+    out[:g, :g], out[:g, g:] = m.d.T, -m.b.T
+    out[g:, :g], out[g:, g:] = -m.c.T, m.a.T
+    return SymplecticMatrix(g=g, entries=out)
 
 
 def matrix_power(m: SymplecticMatrix, k: int) -> SymplecticMatrix:
@@ -228,26 +232,30 @@ def generator(kind: str, i: int, j: int, g: int) -> SymplecticMatrix:
     symmetric matrix carrying 2 at (i, j) and (j, i).  C(i, j) is the
     transpose of B(i, j).
     """
+    return _generator_power(kind, i, j, g, 1)
+
+
+def _generator_power(kind: str, i: int, j: int, g: int, e: int) -> SymplecticMatrix:
+    """generator(kind, i, j, g) ** e in closed form, for any integer e.
+
+    A(i, i)^e is I with -1 at (i, i) and (g+i, g+i) when e is odd.  For i != j,
+    E_ij^2 = 0 gives A(i, j)^e = diag(I + 2e E_ij, I - 2e E_ji).  B and C are
+    unipotent, so their e-th powers carry 2e where the generator carries 2.
+    """
     _check_indices(kind, i, j, g)
     i0, j0 = i - 1, j - 1
-    eye = _identity(g)
-    zero = np.zeros((g, g), dtype=object)
+    out = _identity(2 * g)
     if kind == "A":
-        a = eye.copy()
-        d = eye.copy()
-        if i0 == j0:
-            a[i0, i0] = -1
-            d[i0, i0] = -1
-        else:
-            a[i0, j0] = 2
-            d[j0, i0] = -2  # a^-T for a = I + 2 E_ij
-        blocks = [[a, zero], [zero, d]]
+        if i0 != j0:
+            out[i0, j0] = 2 * e
+            out[g + j0, g + i0] = -2 * e
+        elif e % 2:
+            out[i0, i0] = out[g + i0, g + i0] = -1
+    elif kind == "B":
+        out[i0, g + j0] = out[j0, g + i0] = 2 * e
     else:
-        b = zero.copy()
-        b[i0, j0] = 2
-        b[j0, i0] = 2
-        blocks = [[eye, b], [zero, eye]] if kind == "B" else [[eye, zero], [b, eye]]
-    return SymplecticMatrix(g=g, entries=np.block(blocks))
+        out[g + i0, j0] = out[g + j0, i0] = 2 * e
+    return SymplecticMatrix(g=g, entries=out)
 
 
 @dataclass(frozen=True)
@@ -279,7 +287,7 @@ def word_to_matrix(w: GeneratorWord) -> SymplecticMatrix:
     """Ordered product of the word's generator powers; lands in the level-2 group."""
     out = identity(w.g)
     for kind, i, j, e in w.letters:
-        out = multiply(out, matrix_power(generator(kind, i, j, w.g), e))
+        out = multiply(out, _generator_power(kind, i, j, w.g, e))
     return out
 
 
@@ -332,6 +340,6 @@ def _random_igusa48(g: int, rng: random.Random) -> SymplecticMatrix:
     for _ in range(rng.randint(0, 3)):
         kind, i, j = rng.choice(alphabet(g))
         power = 2 if kind == "A" else 4
-        out = multiply(out, matrix_power(generator(kind, i, j, g), power))
+        out = multiply(out, _generator_power(kind, i, j, g, power))
     assert is_igusa48(out), "construction must land in the subgroup"
     return out

@@ -15,6 +15,7 @@ from siegelchi import (AbelianExponents, Characteristic, DegreeMismatch,
                        matrix_power, multiply, phase_full, phase_level2,
                        random_igusa48, random_word, shift, word,
                        word_exponents, word_to_matrix)
+from siegelchi import character
 from siegelchi.symplectic import alphabet, congruent_to_identity
 
 from util import chi_reference, random_level2, seeded
@@ -147,11 +148,21 @@ def test_chi_requires_level2():
         delta_sign_bit(characteristic(1, 0), make_matrix([[1, 1], [0, 1]]))
     with pytest.raises(NotLevel2):
         chi_exponents(make_matrix([[1, 1], [0, 1]]))
+    bad = make_matrix([[1, 1], [0, 1]])
+    for _ in range(2):  # the failed first call leaves no table behind
+        with pytest.raises(NotLevel2):
+            chi(characteristic(1, 0), bad)
 
 
 def test_chi_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         chi(characteristic(1, 0, 0, 0), generator("B", 1, 1, 1))
+    b11 = generator("B", 1, 1, 1)
+    chi_exponents(b11)  # builds the table
+    with pytest.raises(DegreeMismatch):
+        chi(characteristic(1, 0, 0, 0), b11)
+    with pytest.raises(DegreeMismatch):
+        delta_sign_bit(characteristic(1, 0, 0, 0), b11)
 
 
 def test_chi_is_multiplicative():
@@ -239,6 +250,41 @@ def test_kernel_invariant_under_gamma8(g, seed, length, data):
     assert chi_exponents(moved).tolist() == chi_exponents(mat).tolist()
     for m in enumerate_mod2(g) + extra:
         assert chi_reference(m, moved) == chi_reference(m, mat)
+
+
+# ---------------------------------------------------------------------------
+# The per-matrix table: one kernel pass, then lookups
+# ---------------------------------------------------------------------------
+
+def test_table_is_built_once_per_matrix(monkeypatch):
+    runs = []
+    kernel = character._chi_rows
+    monkeypatch.setattr(character, "_chi_rows",
+                        lambda mat, chars: runs.append(mat) or kernel(mat, chars))
+    for g in (1, 2, 3):
+        mat = word_to_matrix(random_word(g, 10, 60 + g))
+        zeros = [0] * (g - 1)
+        chars = enumerate_mod2(g) + [Characteristic.from_vector(v) for v in (
+            [2, *zeros, -4, *zeros],                    # non-binary, even
+            [3, *zeros, -5, *zeros],                    # non-binary, odd
+            [2**70 + 1, *zeros, -2**70 - 1, *zeros],    # beyond int64, odd
+            [-2**70, *zeros, 2**70 + 1, *zeros])]       # beyond int64, even
+        for _ in range(2):
+            for m in chars:
+                assert (chi(m, mat).k, delta_sign_bit(m, mat)) == chi_reference(m, mat), m
+            assert chi_exponents(mat).tolist() == [chi_reference(m, mat)[0]
+                                                   for m in enumerate_mod2(g)]
+        extract_abelian_exponents(mat)
+        assert is_chi_constant_over_even(mat) == is_igusa48_up_to_sign(mat)
+    assert len(runs) == 3
+
+
+def test_chi_exponents_returns_a_copy():
+    b11 = generator("B", 1, 1, 1)
+    out = chi_exponents(b11)
+    out[:] = 7
+    assert chi_exponents(b11).tolist() == [0, 0, 2, 2]
+    assert chi(characteristic(1, 0), b11).k == 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from siegelchi import (BadShape, IndexOutOfRange, NotSymplectic, alphabet,
                        is_level2, is_level4, make_matrix, matrix_power,
                        multiply, random_igusa48, random_word, word,
                        word_to_matrix)
+from siegelchi.symplectic import _generator_power
 
 from util import random_level2, seeded
 
@@ -173,6 +174,23 @@ def test_generator_index_errors():
         generator("A", 1, 3, 2)
     with pytest.raises(IndexOutOfRange):
         generator("D", 1, 1, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_generator_powers_in_closed_form(g, data):
+    # The reference is repeated multiplication; word_to_matrix must match it too.
+    powers = {(kind, i, j, e): matrix_power(generator(kind, i, j, g), e)
+              for kind, i, j in alphabet(g) for e in range(-6, 7)}
+    for (kind, i, j, e), expected in powers.items():
+        closed = _generator_power(kind, i, j, g, e)
+        assert closed == expected, (kind, i, j, e)
+        assert all(type(x) is int for x in closed.entries.flat)
+    letters = data.draw(st.lists(st.sampled_from(sorted(powers)), max_size=10))
+    product = identity(g)
+    for letter in letters:
+        product = multiply(product, powers[letter])
+    assert word_to_matrix(word(g, letters)) == product
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (Characteristic, NonPositiveTolerance, NotLevel2,
+from siegelchi import (DEFAULT_TOL, Characteristic, NonPositiveTolerance, NotLevel2,
                        NotUpperHalfSpace, TooFewUsable,
                        characteristic, det_sqrt_factor, enumerate_even_mod2,
                        generator, identity, make_matrix, mobius, multiply,
@@ -16,7 +16,7 @@ from siegelchi import (Characteristic, NonPositiveTolerance, NotLevel2,
                        theta_constant, theta_constants,
                        truncation_radius, verify_character, verify_igusa_product,
                        verify_transformation_general, word_to_matrix)
-from siegelchi.theta import _lattice
+from siegelchi.theta import _assemble_report, _lattice
 
 from util import random_sp, random_tau, seeded, sign_shift_exponent
 
@@ -340,3 +340,12 @@ def test_unit_estimates_are_eighth_roots():
         assert report.passed
         assert abs(abs(report.estimated_unit) - 1) < 1e-9
         assert abs(report.estimated_unit ** 8 - 1) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                   allow_infinity=False), min_size=2, max_size=50))
+def test_max_deviation_is_the_pairwise_maximum(ratios):
+    # Bit for bit the Python pairwise loop it replaced.
+    report = _assemble_report(list(range(len(ratios))), ratios, DEFAULT_TOL)
+    assert report.max_deviation == max(abs(x - y) for x in ratios for y in ratios)
