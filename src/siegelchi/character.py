@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InterpolationInconsistent, NotLevel2, _check_degree
-from .characteristics import (Characteristic, _halves, enumerate_mod2,
-                              is_even)
+from .characteristics import Characteristic, _halves, _mod2_table
 from .symplectic import (GeneratorWord, SymplecticMatrix, _blocks,
                          _check_indices, congruent_to_identity, is_level2)
 
@@ -120,9 +119,10 @@ def phase_level2(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
     return PhaseValue(raw_numerator=int(num))
 
 
-def _chi_rows(mat: SymplecticMatrix, chars) -> tuple:
+def _chi_rows(mat: SymplecticMatrix, bits: np.ndarray) -> tuple:
     """The one character kernel: exponents k and sign bits s of chi(m, mat)
-    for each m in chars, as two int64 arrays in the order of chars.
+    for each row m = (m', m'') of the (K x 2g) int64 matrix bits of binary
+    characteristics, as two int64 arrays in the order of the rows.
 
     chi(m, M) = e(phi) (-1)^s with -8 phi = m'.(b^T d).m' + m''.(a^T c).m''
     - 2 (a b^T)_0.(d m') and s = m'.delta'' mod 2, delta = (n - m)/2 for the
@@ -140,17 +140,13 @@ def _chi_rows(mat: SymplecticMatrix, chars) -> tuple:
       so (a b^T)_0 enters mod 4 and (c d^T)_0 drops out.
 
     Entries are reduced mod 8 before the int64 cast, so nothing overflows
-    however large M is.  Raises NotLevel2 unless M = I mod 2, and
-    DegreeMismatch for an m of another degree.
+    however large M is.  Raises NotLevel2 unless M = I mod 2.
     """
     g = mat.g
     m8 = (mat.entries % 8).astype(np.int64)
     if not congruent_to_identity(m8, 2):
         raise NotLevel2("matrix not congruent to I mod 2")
-    for m in chars:
-        _check_degree(m, mat)
-    x = (np.array([m.vector() for m in chars], dtype=object) % 2).astype(np.int64)
-    p, q = x[:, :g], x[:, g:]
+    p, q = bits[:, :g], bits[:, g:]
     a, b, c, d = _blocks(m8)
     ab0 = (a * b).sum(1)                                # (a b^T)_0
     num = ((p @ (b.T @ d)) * p).sum(1) + ((q @ (a.T @ c)) * q).sum(1) - 2 * (p @ ab0)
@@ -167,7 +163,7 @@ def _chi_table(mat: SymplecticMatrix) -> tuple:
     gets none, so every request on it raises NotLevel2."""
     table = vars(mat).get("_chi_table")
     if table is None:
-        table = _chi_rows(mat, enumerate_mod2(mat.g))
+        table = _chi_rows(mat, _mod2_table(mat.g)[1])
         for column in table:
             column.setflags(write=False)
         vars(mat)["_chi_table"] = table
@@ -391,7 +387,8 @@ def igusa_product_character(m: Characteristic, n: Characteristic,
 def chi_even_values(mat: SymplecticMatrix) -> dict:
     """Character exponents over all even mod-2 representatives."""
     ks = _chi_table(mat)[0].tolist()
-    return {m: k for m, k in zip(enumerate_mod2(mat.g), ks) if is_even(m)}
+    chars, _, even = _mod2_table(mat.g)
+    return {chars[k]: ks[k] for k in even}
 
 
 def is_chi_constant_over_even(mat: SymplecticMatrix) -> bool:

@@ -8,6 +8,7 @@ explicit caller choice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -66,10 +67,22 @@ def is_even(m: Characteristic) -> bool:
     return sum(p * q for p, q in zip(m.m_prime, m.m_double)) % 2 == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _mod2_table(g: int) -> tuple:
+    """The 4^g binary characteristics in enumerate_mod2 order, their bits as a
+    read-only (4^g x 2g) int64 matrix, and the indices of the even ones.  All
+    three are immutable, so each g builds them once."""
+    chars = tuple(Characteristic(g=g, m_prime=bits[:g], m_double=bits[g:])
+                  for bits in itertools.product((0, 1), repeat=2 * g))
+    bits = np.array([m.vector() for m in chars], dtype=np.int64)
+    bits.setflags(write=False)
+    return chars, bits, tuple(k for k, m in enumerate(chars) if is_even(m))
+
+
 def enumerate_mod2(g: int) -> list:
-    """All 4^g representatives in {0,1}^(2g), lexicographic by (m', m'')."""
-    return [Characteristic(g=g, m_prime=bits[:g], m_double=bits[g:])
-            for bits in itertools.product((0, 1), repeat=2 * g)]
+    """All 4^g representatives in {0,1}^(2g), lexicographic by (m', m''),
+    as a fresh list."""
+    return list(_mod2_table(g)[0])
 
 
 def enumerate_even_mod2(g: int) -> list:
@@ -77,7 +90,8 @@ def enumerate_even_mod2(g: int) -> list:
 
     There are 2^(g-1) (2^g + 1) of them.
     """
-    return [m for m in enumerate_mod2(g) if is_even(m)]
+    chars, _, even = _mod2_table(g)
+    return [chars[k] for k in even]
 
 
 def _halves(m: Characteristic) -> tuple:

@@ -1,7 +1,7 @@
 """Floating-point theta constants by lattice sums over an ellipsoid, the
 generalized Mobius action, and transformation-formula checks in which the
 unknown eighth-root multiplier cancels.  Every theta value is one batched
-sum, theta_constants, over the points of one enumerator, _lattice.
+sum, theta_constants, over the points of one enumerator, _half_lattice.
 
 All arithmetic here is binary64.  Exact statements live in the character
 module; this module only ever confirms them within an explicit tolerance.
@@ -27,8 +27,8 @@ DEFAULT_TOL = 1e-6
 THETA_FLOOR = 1e-4        # characteristics with |theta| below this are unusable
 SYMMETRY_TOL = 1e-12
 COND_LIMIT = 1e12
-_BLOCK = 1 << 17          # most lattice points held in one array
-_I_POWERS = np.array([1, 1j, -1, -1j])
+_BLOCK = 1 << 12          # most lattice points held in one array
+_COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])   # cos(pi k / 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,68 +84,97 @@ def truncation_radius(m: Characteristic, point: SiegelPoint, tail_tol: float) ->
     return math.ceil(base) + 2 + math.ceil(max(abs(int(x)) for x in m.m_prime) / 2)
 
 
-def _extend(u: np.ndarray, shift: np.ndarray, i: int, rows: np.ndarray, rest: np.ndarray):
-    """Prefix each row with each v_i in Z + shift_i within `rest`; return rows, radius left."""
-    centre = -(rows @ u[i, i + 1:]) / u[i, i]
+def _extend(u: np.ndarray, i: int, cols: np.ndarray, rest: np.ndarray, low: float):
+    """Prefix each column with each n_i in Z within `rest`, n_i >= low on an
+    all-zero column; return columns, radius left."""
+    centre = -(u[i, i + 1:] @ cols) / u[i, i]
     width = np.sqrt(np.maximum(rest, 0.0)) / u[i, i]
-    lo = np.ceil(centre - width - shift[i])
-    count = np.maximum(np.floor(centre + width - shift[i]) - lo + 1.0, 0.0).astype(np.intp)
-    pick = np.repeat(np.arange(len(rows)), count)
-    step = np.arange(pick.size) - np.repeat(np.cumsum(count) - count, count)
-    vi = lo[pick] + step + shift[i]
-    return np.column_stack([vi, rows[pick]]), rest[pick] - (u[i, i] * (vi - centre[pick])) ** 2
+    lo = np.ceil(centre - width)
+    lo = np.where(cols.any(0), lo, np.maximum(lo, low))
+    count = np.maximum(np.floor(centre + width) - lo + 1.0, 0.0).astype(np.intp)
+    pick = np.repeat(np.arange(len(lo)), count)
+    ni = (lo + count - np.cumsum(count))[pick] + np.arange(pick.size)
+    return (np.vstack([ni, cols.take(pick, axis=1)]),
+            rest[pick] - (u[i, i] * (ni - centre[pick])) ** 2)
 
 
-def _lattice(y: np.ndarray, shift: np.ndarray, rho2: float):
-    """Yield every v in Z^g + shift with v.y.v <= rho2, in a fixed order, as
-    (n x g) float blocks of about _BLOCK rows at most.
+def _quad(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """n.a.n for each column of n, in elementwise steps only, so that a point
+    gets the same bits in whatever block it falls."""
+    return sum(n[i] * sum(a[i, j] * n[j] for j in range(len(a))) for i in range(len(a)))
 
-    With y = U^T U, U upper triangular, v.y.v = sum_i U_ii^2 (v_i - c_i)^2 and
-    c_i = -sum_{j>i} U_ij v_j / U_ii: coordinates are fixed from the last to
+
+def _half_lattice(y: np.ndarray, rho2: np.ndarray):
+    """Yield one n of each pair +-n of nonzero points of Z^g with q = n.y.n <=
+    rho2[c], c the coset n mod 2 read as binary digits with n_0 first, in
+    blocks (n, q) of about _BLOCK points at most, n as float columns.  The n
+    kept is the one whose last nonzero coordinate is positive.
+
+    With y = U^T U, U upper triangular, n.y.n = sum_i U_ii^2 (n_i - c_i)^2 and
+    c_i = -sum_{j>i} U_ij n_j / U_ii: coordinates are fixed from the last to
     the first within the radius the later ones leave (Fincke & Pohst, Math.
-    Comp. 44, 1985; Deconinck et al., Math. Comp. 73, 2004).  Bounds use rho2
-    enlarged by 1e-9 and each block is cut by v.y.v itself, so rounding in U
-    neither drops nor adds a point.
+    Comp. 44, 1985; Deconinck et al., Math. Comp. 73, 2004), n_i >= 0 while
+    the later ones are all zero.  Bounds use max(rho2) enlarged by 1e-9 and
+    each block is cut by q itself, so rounding in U neither drops nor adds a
+    point.
     """
     u = np.linalg.cholesky((y + y.T) / 2.0).T
-    rows, rest = np.zeros((1, 0)), np.array([rho2 * (1.0 + 1e-9)])
+    cols, rest = np.zeros((0, 1)), np.array([rho2.max() * (1.0 + 1e-9)])
     per = max(1, _BLOCK // (2 * int(math.sqrt(rest[0]) / u[0, 0]) + 2))
     for i in range(len(y) - 1, 0, -1):
-        rows, rest = _extend(u, shift, i, rows, rest)
-    for a in range(0, len(rows), per):
-        v, _ = _extend(u, shift, 0, rows[a:a + per], rest[a:a + per])
-        yield v[np.einsum("ni,ij,nj->n", v, y, v) <= rho2]
+        cols, rest = _extend(u, i, cols, rest, 0.0)
+    bits = 1 << np.arange(len(y) - 1, -1, -1)
+    for a in range(0, cols.shape[1], per):
+        n, _ = _extend(u, 0, cols[:, a:a + per], rest[a:a + per], 1.0)
+        q = _quad(y, n)
+        keep = q <= rho2[bits @ (n.astype(np.int64) & 1)]
+        yield n.compress(keep, axis=1), q[keep]
 
 
 def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL,
                     radius: int | None = None) -> list:
     """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
-    one per characteristic in chars, in order.
+    one per characteristic in chars, in order, from one lattice pass.
 
-    The sum depends on m' only through its coset mod 2.  Each coset evaluates
-    the Gaussian once and gets all its m'' (non-binary ones too) from one
-    (N x k) product with the exact phases exp(pi i v.m'') = i^(2v.m'' mod 4).
-    It runs over the ellipsoid v.Y.v <= lam R^2, Y = Im(tau) with smallest
-    eigenvalue lam, R the given radius or else the coset's largest
-    truncation_radius.  As v.Y.v >= lam |v|^2, the ellipsoid lies inside the
-    box |v|_inf <= R and keeps exactly the terms of modulus at least
-    exp(-pi lam R^2); truncation_radius makes that at most 3^-g tail_tol, so
-    every term left out is smaller.  The summation order is fixed.
+    Each coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
+    the ellipsoid v.Y.v <= lam R^2: Y = Im(tau) with smallest eigenvalue lam,
+    R the given radius or else its characteristics' largest truncation_radius.
+    With n = 2v, the coset is the set of n in Z^g with n = m' mod 2, and
+    v.Y.v = n.(Y/4).n bit for bit, as scaling by a power of two is exact.
+
+    n -> -n maps a coset to itself, keeps n.(Y/4).n and conjugates
+    exp(pi i v.m'') = i^(n.m''), so a pair +-n adds 2 exp(-pi n.(Y/4).n)
+    exp(pi i n.X.n / 4) cos(pi n.m'' / 2), X = Re(tau), with the exact
+    cos(pi k / 2) = [1, 0, -1, 0][k mod 4], and n = 0 adds 1 to coset 0.
+    Cosine and coset see n mod 4 only, so terms are first summed per class of
+    n mod 4, and every m'' (non-binary ones too) is read from the 4^g class
+    sums by one product.  The summation order is fixed.
     """
-    cosets = {}
+    if not chars:
+        return []
+    g = point.g
     for m in chars:
         _check_degree(m, point)
-        cosets.setdefault(tuple(int(x) % 2 for x in m.m_prime), []).append(m)
-    values = {}
-    for shift, ms in cosets.items():
-        r = radius if radius is not None else max(truncation_radius(m, point, tail_tol) for m in ms)
-        mpp = np.array([[int(x) for x in m.m_double] for m in ms], dtype=np.int64).T
-        total = np.zeros(len(ms), dtype=complex)
-        for v in _lattice(point.tau.imag, np.array(shift) / 2.0, point.im_min_eig * r * r):
-            gauss = np.exp(1j * math.pi * np.einsum("ni,ni->n", v @ point.tau, v))
-            total += gauss @ _I_POWERS[(np.rint(2.0 * v).astype(np.int64) @ mpp) % 4]
-        values.update(zip(ms, total.tolist()))
-    return [values[m] for m in chars]
+    x = np.array([m.vector() for m in chars], dtype=object)
+    bits = 1 << np.arange(g - 1, -1, -1)
+    coset = (x[:, :g] % 2).astype(np.int64) @ bits
+    rho2 = np.full(2 ** g, -1.0)                # cosets no characteristic asks for stay empty
+    # truncation_radius grows with max|m'_i| alone: ask it of each coset's widest member
+    widest = {coset[k]: chars[k] for k in np.argsort(np.abs(x[:, :g]).max(1), kind="stable")}
+    for c, m in widest.items():
+        r = radius if radius is not None else truncation_radius(m, point, tail_tol)
+        rho2[c] = point.im_min_eig * r * r
+    classes = np.indices((4,) * g).reshape(g, -1)                  # n mod 4, class order
+    phase = _COS_QUARTER[((x[:, g:] % 4).astype(np.int64) @ classes) % 4]
+    phase[coset[:, None] != bits @ (classes & 1)] = 0.0         # classes of other cosets
+    sums = np.zeros(4 ** g, dtype=complex)
+    for n, q in _half_lattice(point.tau.imag / 4.0, rho2):
+        size = np.exp(-math.pi * q)
+        turn = math.pi * _quad(point.tau.real / 4.0, n)
+        cls = (bits * bits) @ (n.astype(np.int64) & 3)
+        sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
+        sums += 1j * np.bincount(cls, size * np.sin(turn), 4 ** g)
+    return (phase[:, 0] + 2.0 * (phase @ sums)).tolist()
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint,

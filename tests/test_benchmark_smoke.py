@@ -1,6 +1,6 @@
 """The benchmark's own trial and check code passes on this library, seed 7:
-the first exact-g3 deck positions, the theta-g3 warm-up position and one
-in-process cli-verify-g2 run.  benchmarks/workloads.py is only read; no
+the first exact-g3 deck positions, the theta-g3 warm-up and costliest
+positions and one in-process cli-verify-g2 run.  benchmarks/workloads.py is only read; no
 bytecode is written next to it."""
 
 import importlib.util
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from siegelchi import theta
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
@@ -39,6 +41,23 @@ def test_theta_g3_warm_up_position(workloads):
     wl = workloads.ThetaG3()
     pos = wl.warm_up_position()
     assert wl.check(pos, wl.trial(pos, workloads.NO_TRACE)) is None
+
+
+def test_theta_g3_costliest_position(workloads, monkeypatch):
+    # The deck's heaviest sweep by the workload's own cost proxy; its lattice
+    # sums run over more than one block.
+    wl = workloads.ThetaG3()
+    pos = max(wl.build(SEED), key=lambda p: workloads._cost_proxy(p.matrix, p.point.tau))
+    calls = []
+    enumerate_ = theta._half_lattice
+
+    def recording(*args):
+        calls.append(list(enumerate_(*args)))
+        return calls[-1]
+
+    monkeypatch.setattr(theta, "_half_lattice", recording)
+    assert wl.check(pos, wl.trial(pos, workloads.NO_TRACE)) is None
+    assert max(len(blocks) for blocks in calls) > 1
 
 
 def test_cli_verify_g2_in_process(workloads):

@@ -57,6 +57,10 @@ def test_enumerate_mod2_is_lexicographic_and_complete():
         vectors = [m.vector() for m in enumerate_mod2(g)]
         assert vectors == list(itertools.product((0, 1), repeat=2 * g))
         assert enumerate_even_mod2(g) == [m for m in enumerate_mod2(g) if is_even(m)]
+        enumerate_mod2(g).clear()                   # each call returns a fresh list
+        enumerate_even_mod2(g).clear()
+        assert len(enumerate_mod2(g)) == 4 ** g
+        assert len(enumerate_even_mod2(g)) == 2 ** (g - 1) * (2 ** g + 1)
 
 
 def test_enumerate_even_lexicographic():

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,14 +12,15 @@ from hypothesis import strategies as st
 from siegelchi import (DEFAULT_TOL, Characteristic, NonPositiveTolerance, NotLevel2,
                        NotUpperHalfSpace, TooFewUsable,
                        characteristic, det_sqrt_factor, enumerate_even_mod2,
-                       generator, identity, make_matrix, mobius, multiply,
+                       enumerate_mod2, generator, identity, make_matrix, mobius, multiply,
                        parity, random_word, shift, siegel_point,
                        theta_constant, theta_constants,
                        truncation_radius, verify_character, verify_igusa_product,
                        verify_transformation_general, word_to_matrix)
-from siegelchi.theta import _assemble_report, _lattice
+from siegelchi import theta
+from siegelchi.theta import _assemble_report
 
-from util import random_sp, random_tau, seeded, sign_shift_exponent
+from util import random_sp, random_tau, seeded, sign_shift_exponent, theta_box
 
 TAU_I = siegel_point([[1j]])
 
@@ -108,32 +110,59 @@ def test_truncation_radius_doubling():
             assert abs(a - b) < 1e-12
 
 
+def test_truncation_radius_once_per_coset(monkeypatch):
+    # One call per coset m' mod 2, on its member with the largest max|m'_i|.
+    calls = []
+    radius = theta.truncation_radius
+    monkeypatch.setattr(theta, "truncation_radius",
+                        lambda m, *args: calls.append(m) or radius(m, *args))
+    wide = [characteristic(3, 0, 1, 1), characteristic(-4, 1, 0, 2), characteristic(1, 2, 1, 0)]
+    theta_constants(enumerate_even_mod2(2) + wide, random_tau(2, seeded(66)))
+    assert sorted(tuple(x % 2 for x in m.m_prime) for m in calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sorted(max(map(abs, m.m_prime)) for m in calls) == [0, 1, 3, 4]
+
+
 _entries = st.one_of(st.integers(-1, 1).map(float), st.floats(-1.0, 1.0))
+_radii = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0))
 
 
 @settings(max_examples=80, deadline=None)
-# two points with v.y.v = 3 exactly, which rounding in the Cholesky factor
-# would push outside, and two (v = +-1) just outside the enlarged bounds
-@example(([-0.4884079572441151, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, -1.0, 1.0], 1.0, [0, 0, 0], 3.0))
-@example(([0.0], 1.0, [0], 1.0 - 5e-10))
+# two pairs with n.(y/4).n = 3 exactly, one of which rounding in the Cholesky
+# factor would push outside, and a pair (n = +-2) just outside the enlarged bounds
+@example(([-0.4884079572441151, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, -1.0, 1.0], 1.0, [0, 0, 0], 3.0,
+          -1.0, 64))
+@example(([0.0], 1.0, [0], 1.0 - 5e-10, 0.5, 64))
 @given(st.integers(1, 3).flatmap(lambda g: st.tuples(
            st.lists(_entries, min_size=g * g, max_size=g * g),
            st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0)),
            st.lists(st.integers(0, 1), min_size=g, max_size=g),
-           st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0)))))
+           _radii, st.one_of(st.just(-1.0), _radii),
+           st.sampled_from([64, theta._BLOCK]))))
 def test_lattice_is_the_ellipsoid(case):
-    entries, boost, bits, rho2 = case
+    # Coset `bits` (n = bits mod 2, n = 2v) gets radius rho2, every other coset
+    # `other` (-1: empty).  The blocks must hold one of each pair +-n != 0 of
+    # the brute-force box filter, by the same bits of n.(y/4).n, 0 never.
+    entries, boost, bits, rho2, other, cap = case
     g = len(bits)
     a = np.array(entries).reshape(g, g)
-    y = a @ a.T + boost * np.eye(g)
-    shift = np.array(bits) / 2.0
-    blocks = list(_lattice(y, shift, rho2))
-    got = [tuple(np.rint(2 * v).astype(int)) for block in blocks for v in block]
-    reach = math.ceil(math.sqrt(rho2 / np.linalg.eigvalsh(y)[0])) + 1
-    box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=g))) + shift
-    inside = box[np.einsum("ni,ij,nj->n", box, y, box) <= rho2]
-    assert len(got) == len(set(got))
-    assert set(got) == {tuple(np.rint(2 * v).astype(int)) for v in inside}
+    y = (a @ a.T + boost * np.eye(g)) / 4.0
+    cuts = np.full(2 ** g, other)
+    cuts[int("".join(map(str, bits)), 2)] = rho2
+    with mock.patch.object(theta, "_BLOCK", cap):
+        blocks = list(theta._half_lattice(y, cuts))
+    assert all(n.shape[1] <= cap and np.array_equal(q, theta._quad(y, n)) for n, q in blocks)
+    half = [tuple(col) for n, _ in blocks for col in n.T.tolist()]
+    assert len(half) == len(set(half))
+    assert all([x for x in col if x][-1] > 0 for col in half)      # so 0 is never listed
+    mirror = {tuple(-x for x in col) for col in half}
+    assert not mirror & set(half)
+    reach = math.ceil(math.sqrt(max(rho2, other) / np.linalg.eigvalsh(y)[0])) + 1
+    box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=g))).T
+    q = theta._quad(y, box.astype(float))
+    assert np.allclose(q, np.einsum("in,ij,jn->n", box, y, box), rtol=1e-13, atol=0.0)
+    inside = box[:, q <= cuts[(box % 2).T @ (1 << np.arange(g - 1, -1, -1))]]
+    zero = {(0,) * g} if cuts[0] >= 0.0 else set()
+    assert set(half) | mirror | zero == {tuple(col) for col in inside.T.tolist()}
 
 
 def test_batched_matches_single_characteristic():
@@ -160,6 +189,35 @@ def test_genus_one_matches_jacobi_theta(tau):
             ref = complex(mpmath.jtheta(kind, 0, q))
             value = theta_constant(characteristic(a, b), point)
             assert abs(value - ref) < 1e-13 * max(1.0, abs(ref)), (a, b, value, ref)
+
+
+def assert_matches_box_sum(tau):
+    # Every binary class, even and odd, and three non-binary characteristics.
+    g = len(tau)
+    chars = enumerate_mod2(g) + [Characteristic.from_vector(v[:g] + v[3:3 + g]) for v in (
+        [2, -1, 3, 1, 0, -2], [-3, 4, -1, 2, -5, 1], [3, 3, -2, 5, 2, -1])]
+    refs = theta_box(chars, tau)
+    for m, value, ref in zip(chars, theta_constants(chars, siegel_point(tau)), refs):
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), (m, value, ref)
+
+
+@pytest.mark.parametrize("tau", [
+    [[0.3 + 1.1j, 0.1 - 0.2j], [0.1 - 0.2j, -0.25 + 0.9j]],
+    [[0.2 + 1.0j, -0.3 + 0.97j], [-0.3 + 0.97j, 0.45 + 1.0j]],       # Im tau: condition 66
+    [[0.1 + 1.0j, 0.2 - 0.1j, -0.15 + 0.05j], [0.2 - 0.1j, -0.3 + 0.9j, 0.1 + 0.2j],
+     [-0.15 + 0.05j, 0.1 + 0.2j, 0.25 + 1.2j]]])
+def test_matches_box_sum_at_40_digits(tau):
+    assert_matches_box_sum(tau)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), st.floats(0.1, 1.0))
+def test_matches_box_sum_at_drawn_points(re, im, boost):
+    # Im tau = a a^T + boost I has condition number at most 4 / boost + 1 <= 41.
+    a = np.array(im).reshape(2, 2)
+    x = np.array([[re[0], re[1]], [re[1], re[2]]])
+    assert_matches_box_sum((x + 1j * (a @ a.T + boost * np.eye(2))).tolist())
 
 
 def test_shift_sign_rule():

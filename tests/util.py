@@ -1,9 +1,13 @@
 """Shared helpers for the test suite: samplers for the full symplectic group
 (beyond the level-2 alphabet), random upper-half-space points, and the exact
-per-characteristic reference for the character (preimage, delta, shift sign)."""
+per-characteristic reference for the character (preimage, delta, shift sign),
+and a direct high-precision box sum for theta constants."""
 
+import itertools
+import math
 import random
 
+import mpmath
 import numpy as np
 
 from siegelchi import (Characteristic, SiegelChiError, SiegelPoint, act,
@@ -121,3 +125,38 @@ def chi_reference(m, mat):
     level-2 phase plus 4 s, s = m'.delta'' mod 2 from the exact preimage."""
     s = sign_shift_exponent(m, delta(m, solve_preimage(mat, m)))
     return (phase_level2(m, mat).eighths + 4 * s) % 8, s
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle for theta constants: the plain box sum in mpmath
+# ---------------------------------------------------------------------------
+
+def theta_box(chars, tau, digits=40):
+    """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
+    term by term at `digits` decimal digits, over the box |v|_inf <= B less
+    the terms below 1e-20.  Every v outside the box has v.Im(tau).v >
+    lam B^2 >= 46 / pi, lam the smallest eigenvalue of Im(tau), so its term
+    is below 1e-20 too.  exp(pi i v.m'') = i^(2 v.m'') exactly."""
+    tau = np.asarray(tau, dtype=complex)
+    g = len(tau)
+    lam = float(np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2.0)[0])
+    reach = math.ceil(math.sqrt(46.0 / (math.pi * lam)))
+    out = []
+    with mpmath.workdps(digits):
+        x = [[mpmath.mpf(tau[i, j].real) for j in range(g)] for i in range(g)]
+        y = [[mpmath.mpf(tau[i, j].imag) for j in range(g)] for i in range(g)]
+        terms = {}
+        for m in chars:
+            shift = tuple(int(a) % 2 for a in m.m_prime)      # Z + 3/2 = Z + 1/2
+            if shift not in terms:
+                terms[shift] = []
+                axes = [[mpmath.mpf(2 * p + s) / 2 for p in range(-reach, reach + 1 - s)]
+                        for s in shift]
+                for v in itertools.product(*axes):
+                    depth = mpmath.pi * sum(v[i] * y[i][j] * v[j] for i in range(g) for j in range(g))
+                    if depth <= 46:
+                        turn = mpmath.pi * sum(v[i] * x[i][j] * v[j] for i in range(g) for j in range(g))
+                        terms[shift].append((v, mpmath.exp(mpmath.mpc(-depth, turn))))
+            out.append(complex(sum(e * 1j ** int(sum(2 * a * int(b) for a, b in zip(v, m.m_double)) % 4)
+                                   for v, e in terms[shift])))
+    return out
