@@ -378,12 +378,6 @@ def word_exponents(w: GeneratorWord) -> AbelianExponents:
 # Product character and the constancy criterion
 # ---------------------------------------------------------------------------
 
-def igusa_product_character(m: Characteristic, n: Characteristic,
-                            mat: SymplecticMatrix) -> EighthRoot:
-    """Character of the product of the theta constants at m and n: chi_m chi_n."""
-    return chi(m, mat) * chi(n, mat)
-
-
 def chi_even_values(mat: SymplecticMatrix) -> dict:
     """Character exponents over all even mod-2 representatives."""
     ks = _chi_table(mat)[0].tolist()

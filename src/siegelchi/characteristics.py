@@ -58,11 +58,6 @@ def characteristic(*entries) -> Characteristic:
     return Characteristic.from_vector(entries)
 
 
-def parity(m: Characteristic) -> str:
-    """'even' when the pairing m'.m'' is even, 'odd' otherwise."""
-    return "even" if is_even(m) else "odd"
-
-
 def is_even(m: Characteristic) -> bool:
     return sum(p * q for p, q in zip(m.m_prime, m.m_double)) % 2 == 0
 

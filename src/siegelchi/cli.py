@@ -13,7 +13,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -364,11 +364,7 @@ def cmd_verify(args) -> int:
         except SiegelChiError as exc:  # partial report still gets written
             suites[name] = {"passed": False, "error": str(exc)}
     passed = all(s.get("passed", False) for s in suites.values())
-    report = {"config": {"g": config.g, "seed": config.seed,
-                         "trials": config.trials,
-                         "word_length": config.word_length,
-                         "tol": config.tol, "tail_tol": config.tail_tol},
-              "suites": suites, "passed": passed}
+    report = {"config": asdict(config), "suites": suites, "passed": passed}
     if not args.no_timestamp:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _emit_json(report, args.output)

@@ -74,12 +74,6 @@ def congruent_to_igusa48(entries: np.ndarray) -> bool:
             and bool(((c @ d.T).diagonal() % 8 == 0).all()))
 
 
-def diag_vector(s) -> tuple:
-    """Diagonal of a square matrix, in natural order, as a tuple of ints."""
-    mat = s.entries if isinstance(s, SymplecticMatrix) else _int_matrix(s)
-    return tuple(int(x) for x in mat.diagonal())
-
-
 @dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
     """Element of the degree-g integral symplectic group; see make_matrix.

@@ -77,11 +77,13 @@ def truncation_radius(m: Characteristic, point: SiegelPoint, tail_tol: float) ->
     sums, lam the smallest eigenvalue of Im(tau).  R exceeds the root of
     pi lam R^2 = ln(3^g / tail_tol), so every term left out is below
     3^-g tail_tol; the 3^g factor is a heuristic count, not a tail certificate.
+    The coset Z^g + m'/2 depends on m' mod 2 only, and so does R: one more
+    when some m'_i is odd, the radius binary characteristics always had.
     """
     if not tail_tol > 0.0:
         raise NonPositiveTolerance("tail_tol must be positive")
     base = math.sqrt(max(0.0, math.log(3.0 ** point.g / tail_tol)) / (math.pi * point.im_min_eig))
-    return math.ceil(base) + 2 + math.ceil(max(abs(int(x)) for x in m.m_prime) / 2)
+    return math.ceil(base) + 2 + any(int(x) % 2 for x in m.m_prime)
 
 
 def _extend(u: np.ndarray, i: int, cols: np.ndarray, rest: np.ndarray, low: float):
@@ -138,7 +140,7 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
 
     Each coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
     the ellipsoid v.Y.v <= lam R^2: Y = Im(tau) with smallest eigenvalue lam,
-    R the given radius or else its characteristics' largest truncation_radius.
+    R the given radius or else the coset's truncation_radius.
     With n = 2v, the coset is the set of n in Z^g with n = m' mod 2, and
     v.Y.v = n.(Y/4).n bit for bit, as scaling by a power of two is exact.
 
@@ -159,9 +161,7 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
     bits = 1 << np.arange(g - 1, -1, -1)
     coset = (x[:, :g] % 2).astype(np.int64) @ bits
     rho2 = np.full(2 ** g, -1.0)                # cosets no characteristic asks for stay empty
-    # truncation_radius grows with max|m'_i| alone: ask it of each coset's widest member
-    widest = {coset[k]: chars[k] for k in np.argsort(np.abs(x[:, :g]).max(1), kind="stable")}
-    for c, m in widest.items():
+    for c, m in dict(zip(coset, chars)).items():     # one member per coset sets its R
         r = radius if radius is not None else truncation_radius(m, point, tail_tol)
         rho2[c] = point.im_min_eig * r * r
     classes = np.indices((4,) * g).reshape(g, -1)                  # n mod 4, class order
@@ -187,21 +187,21 @@ def theta_constant(m: Characteristic, point: SiegelPoint,
 # Mobius action and the square-root factor
 # ---------------------------------------------------------------------------
 
-def _factor(mat: SymplecticMatrix, point: SiegelPoint) -> np.ndarray:
-    """c tau + d as a complex array, checked for conditioning."""
+def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
+    """(M tau, det(c tau + d)) from one c tau + d, checked once for
+    conditioning; M tau = (a tau + b)(c tau + d)^-1, re-symmetrized and
+    revalidated."""
     _check_degree(mat, point)
     den = mat.c.astype(float) @ point.tau + mat.d.astype(float)
     if np.linalg.cond(den) > COND_LIMIT:
         raise SingularFactor("c tau + d is numerically singular")
-    return den
+    out = (mat.a.astype(float) @ point.tau + mat.b.astype(float)) @ np.linalg.inv(den)
+    return SiegelPoint.make((out + out.T) / 2.0), complex(np.linalg.det(den))
 
 
 def mobius(mat: SymplecticMatrix, point: SiegelPoint) -> SiegelPoint:
     """(a tau + b)(c tau + d)^-1, re-symmetrized and revalidated."""
-    den = _factor(mat, point)
-    num = mat.a.astype(float) @ point.tau + mat.b.astype(float)
-    out = num @ np.linalg.inv(den)
-    return SiegelPoint.make((out + out.T) / 2.0)
+    return _transform(mat, point)[0]
 
 
 def det_sqrt_factor(mat: SymplecticMatrix, point: SiegelPoint) -> complex:
@@ -210,7 +210,7 @@ def det_sqrt_factor(mat: SymplecticMatrix, point: SiegelPoint) -> complex:
     Every characteristic in one verification call shares the same branch
     value, otherwise the multiplier could not cancel.
     """
-    return cmath.sqrt(complex(np.linalg.det(_factor(mat, point))))
+    return cmath.sqrt(_transform(mat, point)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +249,28 @@ def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationRe
                               tolerance=float(tol), passed=bool(ok))
 
 
-def _usable(chars, point: SiegelPoint, tail_tol: float) -> list:
-    """(m, theta) for each m in chars whose theta constant clears the floor."""
-    return [(m, val) for m, val in zip(chars, theta_constants(chars, point, tail_tol))
-            if abs(val) > THETA_FLOOR]
+def _sweep(mat: SymplecticMatrix, point: SiegelPoint, chars: list, tail_tol: float,
+           needed=(), image=lambda m: m) -> tuple:
+    """The body of every verification sweep.  After the degree check, keep the
+    characteristics whose theta constant at tau clears THETA_FLOOR; raise
+    TooFewUsable unless two of chars and all of needed do (needed ones outside
+    chars are summed but not counted); then form M tau and det(c tau + d) once
+    (SingularFactor) and sum theta at M tau over image(m) for each kept m.
+    Returns the kept m, their theta at tau, those at M tau, and the det.
+    """
+    _check_degree(mat, point)           # before any theta work, as for the level-2 check
+    extra = [m for m in dict.fromkeys(needed) if m not in chars]
+    chars = chars + extra
+    usable = [(m, val) for m, val in zip(chars, theta_constants(chars, point, tail_tol))
+              if abs(val) > THETA_FLOOR]
+    count = sum(m not in extra for m, _ in usable)
+    if count < 2:
+        raise TooFewUsable(f"only {count} theta constants above the floor")
+    labels, vals = map(list, zip(*usable))
+    if not set(needed) <= set(labels):
+        raise TooFewUsable("requested characteristic below the theta floor")
+    moved, det = _transform(mat, point)
+    return labels, vals, theta_constants([image(m) for m in labels], moved, tail_tol), det
 
 
 def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
@@ -265,14 +283,10 @@ def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
     unit modulus and trivial eighth power.
     """
     chis = chi_even_values(mat)         # raises NotLevel2 before any theta work
-    usable = _usable(list(chis), point, tail_tol)
-    if len(usable) < 2:
-        raise TooFewUsable(f"only {len(usable)} theta constants above the floor")
-    moved = mobius(mat, point)
-    root = det_sqrt_factor(mat, point)
-    labels = [m for m, _ in usable]
-    tops = theta_constants(labels, moved, tail_tol)
-    ratios = [top / (root * val) / EighthRoot(chis[m]).value for (m, val), top in zip(usable, tops)]
+    labels, vals, tops, det = _sweep(mat, point, list(chis), tail_tol)
+    root = cmath.sqrt(det)
+    ratios = [top / (root * val) / EighthRoot(chis[m]).value
+              for m, val, top in zip(labels, vals, tops)]
     return _assemble_report(labels, ratios, tol)
 
 
@@ -285,15 +299,12 @@ def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoi
     theta(M o m, M tau) against e(phase) * sqrt-det * theta(m, tau); the
     ratio must not depend on m.  Valid for every symplectic matrix.
     """
-    moved = mobius(mat, point)
-    root = det_sqrt_factor(mat, point)
-    usable = _usable([m for m in m_set if is_even(m)], point, tail_tol)
-    if len(usable) < 2:
-        raise TooFewUsable(f"only {len(usable)} theta constants above the floor")
-    tops = theta_constants([act(mat, m) for m, _ in usable], moved, tail_tol)
+    labels, vals, tops, det = _sweep(mat, point, [m for m in m_set if is_even(m)], tail_tol,
+                                     image=lambda m: act(mat, m))
+    root = cmath.sqrt(det)
     ratios = [top / (EighthRoot(phase_full(m, mat).eighths).value * root * val)
-              for (m, val), top in zip(usable, tops)]
-    return _assemble_report([m for m, _ in usable], ratios, tol)
+              for m, val, top in zip(labels, vals, tops)]
+    return _assemble_report(labels, ratios, tol)
 
 
 def verify_igusa_product(m: Characteristic, n: Characteristic,
@@ -311,17 +322,8 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     chis = chi_even_values(mat)         # raises NotLevel2 before any theta work
     if not (is_even(m) and is_even(n)):
         raise TooFewUsable("product verification needs even characteristics")
-    evens = list(chis)
-    extra = [x for x in dict.fromkeys((m, n)) if x not in evens]
-    values = dict(_usable(evens + extra, point, tail_tol))
-    if len(values.keys() - extra) < 2:
-        raise TooFewUsable(f"only {len(values.keys() - extra)} theta constants above the floor")
-    moved = mobius(mat, point)
-    det = complex(np.linalg.det(_factor(mat, point)))
-    if m not in values or n not in values:
-        raise TooFewUsable("requested characteristic below the theta floor")
-    moved_values = dict(zip(values, theta_constants(list(values), moved, tail_tol)))
-    keys = list(values)
+    keys, vals, tops, det = _sweep(mat, point, list(chis), tail_tol, needed=(m, n))
+    values, moved_values = dict(zip(keys, vals)), dict(zip(keys, tops))
     pairs = {}
     for a, b in [(m, n)] + [(a, b) for s, a in enumerate(keys) for b in keys[s:]]:
         pairs.setdefault(frozenset((a, b)), (a, b))

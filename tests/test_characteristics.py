@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from siegelchi import (Characteristic, DegreeMismatch, act,
                        characteristic, enumerate_even_mod2,
                        enumerate_mod2, generator,
-                       is_even, multiply, parity, random_word,
+                       is_even, multiply, random_word,
                        shift, word_to_matrix)
 
 from util import (ParityMismatch, delta, random_level2, random_sp, seeded,
@@ -19,17 +19,16 @@ from util import (ParityMismatch, delta, random_level2, random_sp, seeded,
 # ---------------------------------------------------------------------------
 
 def test_parity_examples():
-    assert parity(characteristic(0, 0)) == "even"
-    assert parity(characteristic(1, 1)) == "odd"
-    assert parity(characteristic(1, 0, 0, 1)) == "even"  # pairing (1,0).(0,1) = 0
+    assert is_even(characteristic(0, 0))
+    assert not is_even(characteristic(1, 1))
+    assert is_even(characteristic(1, 0, 0, 1))  # pairing (1,0).(0,1) = 0
 
 
 def test_parity_brute_force():
     # oracle: direct dot product over every vector in {0,1}^4
     for bits in itertools.product((0, 1), repeat=4):
         m = Characteristic.from_vector(bits)
-        expect = "even" if (bits[0] * bits[2] + bits[1] * bits[3]) % 2 == 0 else "odd"
-        assert parity(m) == expect
+        assert is_even(m) == ((bits[0] * bits[2] + bits[1] * bits[3]) % 2 == 0)
 
 
 def test_from_vector_validation():
@@ -108,7 +107,7 @@ def test_act_preserves_parity_mod2():
         for _ in range(25):
             mat = random_sp(g, rng)
             m = Characteristic.from_vector([rng.randint(-3, 3) for _ in range(2 * g)])
-            assert parity(act(mat, m)) == parity(m)
+            assert is_even(act(mat, m)) == is_even(m)
 
 
 def test_level2_action_fixes_mod2_class():

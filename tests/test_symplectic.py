@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelchi import (BadShape, IndexOutOfRange, NotSymplectic, alphabet,
-                       commutator, diag_vector, generator, identity, inverse,
+                       commutator, generator, identity, inverse,
                        is_igusa48,
                        is_level2, is_level4, make_matrix, matrix_power,
                        multiply, random_igusa48, random_word, word,
@@ -59,14 +59,6 @@ def test_asymmetric_ab_rejected():
     bad = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(NotSymplectic):
         make_matrix(bad)
-
-
-def test_diag_vector():
-    assert diag_vector([[1, 0], [0, 1]]) == (1, 1)
-    assert diag_vector([[0, 2], [2, 0]]) == (0, 0)
-    assert diag_vector([[5, 2], [2, 1]]) == (5, 1)
-    with pytest.raises(BadShape):
-        diag_vector([[1, 2, 3], [4, 5, 6]])
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (DEFAULT_TOL, Characteristic, NonPositiveTolerance, NotLevel2,
-                       NotUpperHalfSpace, TooFewUsable,
+from siegelchi import (DEFAULT_TOL, Characteristic, DegreeMismatch, NonPositiveTolerance,
+                       NotLevel2, NotUpperHalfSpace, SingularFactor, TooFewUsable,
                        characteristic, det_sqrt_factor, enumerate_even_mod2,
-                       enumerate_mod2, generator, identity, make_matrix, mobius, multiply,
-                       parity, random_word, shift, siegel_point,
+                       enumerate_mod2, generator, identity, is_even, make_matrix, mobius,
+                       multiply, random_word, shift, siegel_point,
                        theta_constant, theta_constants,
                        truncation_radius, verify_character, verify_igusa_product,
-                       verify_transformation_general, word_to_matrix)
+                       verify_transformation_general, word, word_to_matrix)
 from siegelchi import theta
 from siegelchi.theta import _assemble_report
 
@@ -94,7 +94,7 @@ def test_odd_characteristic_vanishes():
         for _ in range(10):
             point = random_tau(g, rng)
             m = Characteristic.from_vector([rng.randint(-2, 2) for _ in range(2 * g)])
-            if parity(m) == "odd":
+            if not is_even(m):
                 assert abs(theta_constant(m, point)) < 2e-12
 
 
@@ -111,15 +111,22 @@ def test_truncation_radius_doubling():
 
 
 def test_truncation_radius_once_per_coset(monkeypatch):
-    # One call per coset m' mod 2, on its member with the largest max|m'_i|.
+    # One call per coset m' mod 2; any member serves, as R sees m' mod 2 only.
     calls = []
     radius = theta.truncation_radius
     monkeypatch.setattr(theta, "truncation_radius",
                         lambda m, *args: calls.append(m) or radius(m, *args))
     wide = [characteristic(3, 0, 1, 1), characteristic(-4, 1, 0, 2), characteristic(1, 2, 1, 0)]
-    theta_constants(enumerate_even_mod2(2) + wide, random_tau(2, seeded(66)))
+    point = random_tau(2, seeded(66))
+    theta_constants(enumerate_even_mod2(2) + wide, point)
     assert sorted(tuple(x % 2 for x in m.m_prime) for m in calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert sorted(max(map(abs, m.m_prime)) for m in calls) == [0, 1, 3, 4]
+    assert all(radius(m, point, 1e-12) == radius(m.mod2(), point, 1e-12) for m in wide)
+
+
+def test_non_binary_characteristic_sums_its_binary_coset():
+    # R sees m' mod 2 only, so m'_1 = 2^40 + 1 sums exactly the terms m'_1 = 1 does.
+    value = theta_constant(characteristic(2 ** 40 + 1, 0), TAU_I)
+    assert value == theta_constant(characteristic(1, 0), TAU_I)
 
 
 _entries = st.one_of(st.integers(-1, 1).map(float), st.floats(-1.0, 1.0))
@@ -388,6 +395,59 @@ def test_verify_igusa_product_requires_even():
     with pytest.raises(TooFewUsable):
         verify_igusa_product(characteristic(1, 1), characteristic(0, 0),
                              identity(1), TAU_I)
+
+
+# A^(10^6) on e_1, e_2 is level 2, and at tau = i I its d block has condition about 4e12.
+SINGULAR = word_to_matrix(word(2, [("A", 1, 2, 10 ** 6)]))
+TAU_I2 = siegel_point([[1j, 0], [0, 1j]])
+ZERO2 = characteristic(0, 0, 0, 0)
+SWEEPS = {
+    "character": lambda mat, point: verify_character(mat, point),
+    "general": lambda mat, point: verify_transformation_general(
+        mat, enumerate_even_mod2(point.g), point),
+    "product": lambda mat, point: verify_igusa_product(
+        characteristic(*[0] * 2 * point.g), characteristic(*[0] * 2 * point.g), mat, point),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_one_conditioning_check_per_sweep(monkeypatch, sweep):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *args: calls.append(1) or cond(*args))
+    mat = word_to_matrix(random_word(2, 3, 91))
+    assert SWEEPS[sweep](mat, random_tau(2, seeded(92))).passed
+    assert len(calls) == 1
+
+
+def test_singular_factor_is_raised():
+    with pytest.raises(SingularFactor):
+        mobius(SINGULAR, TAU_I2)
+    for sweep in SWEEPS.values():
+        with pytest.raises(SingularFactor):
+            sweep(SINGULAR, TAU_I2)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_too_few_usable_comes_before_singular_factor(monkeypatch, sweep):
+    monkeypatch.setattr(theta, "theta_constants", lambda chars, *args: [0.0] * len(chars))
+    with pytest.raises(TooFewUsable):
+        SWEEPS[sweep](SINGULAR, TAU_I2)
+
+
+def test_degree_mismatch_comes_before_too_few_usable():
+    with pytest.raises(DegreeMismatch):
+        verify_transformation_general(identity(2), [characteristic(1, 1)], TAU_I)
+
+
+def test_product_extras_do_not_count_as_usable(monkeypatch):
+    # Non-binary m, n are summed with the even classes but only those count.
+    m, n = characteristic(2, 0), characteristic(0, 2)
+    assert verify_igusa_product(m, n, generator("B", 1, 1, 1), TAU_I).passed
+    monkeypatch.setattr(theta, "theta_constants",
+                        lambda chars, *args: [1.0, 0.0, 0.0, 1.0, 1.0][:len(chars)])
+    with pytest.raises(TooFewUsable, match="only 1 theta"):
+        verify_igusa_product(m, n, identity(1), TAU_I)
 
 
 def test_unit_estimates_are_eighth_roots():
