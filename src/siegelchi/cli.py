@@ -40,8 +40,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
-# Requested tolerance must leave headroom over the theta tail bound,
-# otherwise the numeric suite reports TooTight instead of running.
+# Requested tolerance must leave headroom over the theta truncation error,
+# at most tail_tol relative to every theta constant above THETA_FLOOR (the
+# bound in theta.truncation_radius); otherwise the numeric suite reports
+# TooTight instead of running.
 TIGHTNESS_FACTOR = 10.0
 
 

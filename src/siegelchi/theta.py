@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,18 +73,75 @@ def siegel_point(tau) -> SiegelPoint:
     return SiegelPoint.make(tau)
 
 
-def truncation_radius(m: Characteristic, point: SiegelPoint, tail_tol: float) -> int:
-    """Radius R of the ellipsoid v.Im(tau).v <= lam R^2 that theta_constants
-    sums, lam the smallest eigenvalue of Im(tau).  R exceeds the root of
-    pi lam R^2 = ln(3^g / tail_tol), so every term left out is below
-    3^-g tail_tol; the 3^g factor is a heuristic count, not a tail certificate.
-    The coset Z^g + m'/2 depends on m' mod 2 only, and so does R: one more
-    when some m'_i is odd, the radius binary characteristics always had.
+def truncation_radius(m: Characteristic, point: SiegelPoint, tail_tol: float) -> float:
+    """Radius R of the ellipsoid v.Y.v <= lam R^2 that theta_constants sums,
+    Y = Im(tau) with smallest eigenvalue lam: the smallest R >= 1/2 +
+    sqrt(g/2)/rho with B(R) <= tail_tol * THETA_FLOOR, rho = sqrt(pi lam).
+    B(R) bounds the sum of the moduli of the terms left out, so every theta
+    constant above THETA_FLOOR is off by at most tail_tol relative to itself.
+
+    The bound (Deconinck, Heil, Bobenko, van Hoeij & Schmies, "Computing
+    Riemann theta functions", Math. Comp. 73, 2004, Theorem 2; compare
+    Frauendiener, Jaber & Klein, J. Geom. Phys. 141, 2019).  Write Y = T^T T
+    and x = sqrt(pi) T v for v in Z^g + m'/2, so each term has modulus
+    exp(-|x|^2) and the ellipsoid is |x| <= rho R.  Two points of the coset
+    differ by sqrt(pi) T n, n in Z^g nonzero, of length at least
+    sqrt(pi lam) |n| >= rho, so the balls B(x, rho/2) are disjoint.
+    f(y) = exp(-|y|^2) has Laplacian (4|y|^2 - 2g) f, so it is subharmonic
+    where |y| >= sqrt(g/2); for |x| > rho R >= rho/2 + sqrt(g/2) the whole
+    ball B(x, rho/2) lies there, and f(x) is at most the mean of f over it.
+    The balls of the terms left out are disjoint and lie in |y| >= rho R -
+    rho/2, so with the ball volume pi^(g/2) (rho/2)^g / Gamma(g/2 + 1) and
+    the sphere area 2 pi^(g/2) r^(g-1) / Gamma(g/2), those terms sum to at most
+
+        B(R) = (g/2) (2/rho)^g Gamma(g/2, rho^2 (R - 1/2)^2),
+
+    Gamma(s, x) the upper incomplete gamma function.  B does not depend on
+    the coset, nor on m at all: m is kept in the signature for
+    benchmarks/workloads.py, which calls this once per characteristic, until
+    that benchmark is next changed (ROADMAP item 4).
+
+    R solves ln B(R) = ln(tail_tol * THETA_FLOOR) by Newton steps in
+    x = rho^2 (R - 1/2)^2 >= g/2, and is then stepped up until B(R) <= the
+    target holds as computed in binary64 logs, so to a relative 1e-12.
     """
     if not tail_tol > 0.0:
         raise NonPositiveTolerance("tail_tol must be positive")
-    base = math.sqrt(max(0.0, math.log(3.0 ** point.g / tail_tol)) / (math.pi * point.im_min_eig))
-    return math.ceil(base) + 2 + any(int(x) % 2 for x in m.m_prime)
+    g, s = point.g, point.g / 2.0
+    rho = math.sqrt(math.pi * point.im_min_eig)
+    goal = math.log(tail_tol) + math.log(THETA_FLOOR) - math.log(s) - g * math.log(2.0 / rho)
+    x = s
+    if _log_upper_gamma(s, x) > goal:
+        x = max(s, -goal)
+        for _ in range(50):
+            lg = _log_upper_gamma(s, x)
+            step = (lg - goal) * math.exp(lg + x - (s - 1.0) * math.log(x))
+            x = max(s, x + step)
+            if abs(step) <= 1e-13 * x:
+                break
+    r = 0.5 + math.sqrt(x) / rho
+    while _log_upper_gamma(s, (rho * (r - 0.5)) ** 2) > goal:
+        r += 1e-12 * r
+    return r
+
+
+def _log_upper_gamma(s: float, x: float) -> float:
+    """ln Gamma(s, x) for s in {1/2, 1, 3/2, ...} and x > 0, with math only.
+    G(s) = e^x Gamma(s, x) is 1 at s = 1 and sqrt(pi) e^x erfc(sqrt x) at
+    s = 1/2, and G(s + 1) = s G(s) + x^s.  Past x = 700, where e^x nears
+    overflow, G(1/2) is taken as x^-1/2 (1 - 1/(2x) + 3/(4x^2)): the
+    asymptotic series cut after a positive term, which bounds it from above.
+    """
+    if s % 1.0 == 0.0:
+        k, scaled = 1.0, 1.0
+    elif x < 700.0:
+        k, scaled = 0.5, math.sqrt(math.pi) * math.exp(x) * math.erfc(math.sqrt(x))
+    else:
+        k, scaled = 0.5, (1.0 - 0.5 / x + 0.75 / (x * x)) / math.sqrt(x)
+    while k < s:
+        scaled = k * scaled + x ** k
+        k += 1.0
+    return math.log(scaled) - x
 
 
 def _extend(u: np.ndarray, i: int, cols: np.ndarray, rest: np.ndarray, low: float):
@@ -133,14 +191,27 @@ def _half_lattice(y: np.ndarray, rho2: np.ndarray):
         yield n.compress(keep, axis=1), q[keep]
 
 
+@lru_cache(maxsize=None)
+def _class_tables(g: int) -> tuple:
+    """The 4^g classes of n mod 4 as columns in class order, the weight of
+    each binary digit (n_0 first), and the coset n mod 2 of each class."""
+    classes = np.indices((4,) * g).reshape(g, -1)
+    bits = 1 << np.arange(g - 1, -1, -1)
+    tables = classes, bits, bits @ (classes & 1)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL,
-                    radius: int | None = None) -> list:
+                    radius: float | None = None) -> list:
     """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
     one per characteristic in chars, in order, from one lattice pass.
 
-    Each coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
+    Every coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
     the ellipsoid v.Y.v <= lam R^2: Y = Im(tau) with smallest eigenvalue lam,
-    R the given radius or else the coset's truncation_radius.
+    R the given radius or else truncation_radius, which is the same for
+    every coset and so is found once per call.
     With n = 2v, the coset is the set of n in Z^g with n = m' mod 2, and
     v.Y.v = n.(Y/4).n bit for bit, as scaling by a power of two is exact.
 
@@ -157,16 +228,14 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
     g = point.g
     for m in chars:
         _check_degree(m, point)
-    x = np.array([m.vector() for m in chars], dtype=object)
-    bits = 1 << np.arange(g - 1, -1, -1)
-    coset = (x[:, :g] % 2).astype(np.int64) @ bits
+    classes, bits, class_coset = _class_tables(g)
+    x = np.array([[v % 4 for v in m.vector()] for m in chars], dtype=np.int64)
+    coset = (x[:, :g] & 1) @ bits
+    r = radius if radius is not None else truncation_radius(chars[0], point, tail_tol)
     rho2 = np.full(2 ** g, -1.0)                # cosets no characteristic asks for stay empty
-    for c, m in dict(zip(coset, chars)).items():     # one member per coset sets its R
-        r = radius if radius is not None else truncation_radius(m, point, tail_tol)
-        rho2[c] = point.im_min_eig * r * r
-    classes = np.indices((4,) * g).reshape(g, -1)                  # n mod 4, class order
-    phase = _COS_QUARTER[((x[:, g:] % 4).astype(np.int64) @ classes) % 4]
-    phase[coset[:, None] != bits @ (classes & 1)] = 0.0         # classes of other cosets
+    rho2[coset] = point.im_min_eig * r * r
+    phase = _COS_QUARTER[(x[:, g:] @ classes) % 4]
+    phase[coset[:, None] != class_coset] = 0.0  # classes of other cosets
     sums = np.zeros(4 ** g, dtype=complex)
     for n, q in _half_lattice(point.tau.imag / 4.0, rho2):
         size = np.exp(-math.pi * q)
@@ -178,7 +247,7 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint,
-                   tail_tol: float = DEFAULT_TAIL_TOL, radius: int | None = None) -> complex:
+                   tail_tol: float = DEFAULT_TAIL_TOL, radius: float | None = None) -> complex:
     """The theta constant at one characteristic; see theta_constants."""
     return theta_constants([m], point, tail_tol, radius)[0]
 
@@ -235,17 +304,46 @@ class VerificationReport:
     passed: bool
 
 
-def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationReport:
-    # One row of pairs at a time, so no n x n array; np.hypot rounds exactly
-    # as abs() of a Python complex does, so the maximum is bit-identical.
+def _max_deviation(ratios, centre: complex) -> float:
+    """max |r_i - r_j| over all pairs, bit for bit the pairwise loop over
+    abs() of Python complex differences: np.hypot rounds exactly as abs()
+    does, and every pair that could reach the maximum is compared.
+
+    With rho_i = |r_i - centre|, |r_i - r_j| <= rho_i + rho_j.  Rows are
+    taken in order of decreasing rho_i; row i compares only the j with
+    rho_i + rho_j + slack >= best, the maximum so far, and the sweep stops at
+    the first i with 2 rho_i + slack < best.  A difference of two floats is
+    rounded once, so each computed rho and |r_i - r_j| is within a few 2^-53
+    of its value, relative; slack = 1e-9 max rho covers that, as after the
+    first row best is about max rho at least when the centre, the mean, lies
+    in the hull of the r.  Sorting and bisection stay in Python: numpy's sort
+    and search code would add its pages to the peak memory of a CLI run.
+    """
     r = np.array(ratios)
-    dev = max(np.hypot(d.real, d.imag).max() for d in (r - x for x in r))
+    d = r - centre
+    rho = np.hypot(d.real, d.imag).tolist()
+    if not all(map(math.isfinite, rho)):        # nothing to order by: every row
+        return float(max(np.hypot(d.real, d.imag).max() for d in (r - x for x in r)))
+    order = sorted(range(len(rho)), key=rho.__getitem__, reverse=True)
+    r, rho = r.take(order), [rho[i] for i in order]
+    falling = [-x for x in rho]                 # ascending, for bisect
+    slack, best = 1e-9 * rho[0], 0.0
+    for i, x in enumerate(r):
+        if 2.0 * rho[i] + slack < best:
+            break
+        d = r[:bisect_right(falling, rho[i] + slack - best)] - x
+        best = max(best, np.hypot(d.real, d.imag).max())
+    return float(best)
+
+
+def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationReport:
     unit = sum(ratios) / len(ratios)
+    dev = _max_deviation(ratios, unit)
     ok = (dev <= tol
           and abs(abs(unit) - 1.0) <= tol
           and abs(unit ** unit_power - 1.0) <= unit_power * tol)
     return VerificationReport(m_list=tuple(labels), ratios=tuple(ratios),
-                              estimated_unit=unit, max_deviation=float(dev),
+                              estimated_unit=unit, max_deviation=dev,
                               tolerance=float(tol), passed=bool(ok))
 
 

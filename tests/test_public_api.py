@@ -1,5 +1,5 @@
 """The library names that the benchmark, the README and the demos rely on stay public,
-and every demo still runs to completion."""
+every demo still runs to completion, and importing the package stays light."""
 
 import os
 import re
@@ -22,11 +22,25 @@ def test_benchmark_names_are_exported():
         assert sorted(names - set(siegelchi.__all__)) == [], path
 
 
-@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return env
+
+
+def test_import_loads_no_heavy_modules():
+    # scipy.special alone adds 130-170 ms to every CLI start-up.
+    code = ("import sys, siegelchi; "
+            "print(sorted({'scipy', 'mpmath', 'sympy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

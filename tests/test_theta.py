@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (DEFAULT_TOL, Characteristic, DegreeMismatch, NonPositiveTolerance,
-                       NotLevel2, NotUpperHalfSpace, SingularFactor, TooFewUsable,
-                       characteristic, det_sqrt_factor, enumerate_even_mod2,
+from siegelchi import (DEFAULT_TOL, THETA_FLOOR, Characteristic, DegreeMismatch,
+                       NonPositiveTolerance, NotLevel2, NotUpperHalfSpace, SingularFactor,
+                       TooFewUsable, characteristic, det_sqrt_factor, enumerate_even_mod2,
                        enumerate_mod2, generator, identity, is_even, make_matrix, mobius,
                        multiply, random_word, shift, siegel_point,
                        theta_constant, theta_constants,
@@ -110,21 +110,79 @@ def test_truncation_radius_doubling():
             assert abs(a - b) < 1e-12
 
 
-def test_truncation_radius_once_per_coset(monkeypatch):
-    # One call per coset m' mod 2; any member serves, as R sees m' mod 2 only.
+def test_truncation_radius_once_per_call(monkeypatch):
+    # One R serves every coset, so a call asks for it once, and a given radius
+    # asks for none; R does not depend on m.
     calls = []
     radius = theta.truncation_radius
     monkeypatch.setattr(theta, "truncation_radius",
-                        lambda m, *args: calls.append(m) or radius(m, *args))
+                        lambda *args: calls.append(args) or radius(*args))
     wide = [characteristic(3, 0, 1, 1), characteristic(-4, 1, 0, 2), characteristic(1, 2, 1, 0)]
     point = random_tau(2, seeded(66))
-    theta_constants(enumerate_even_mod2(2) + wide, point)
-    assert sorted(tuple(x % 2 for x in m.m_prime) for m in calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(radius(m, point, 1e-12) == radius(m.mod2(), point, 1e-12) for m in wide)
+    theta_constants(enumerate_mod2(2) + wide, point)
+    assert len(calls) == 1
+    theta_constants(enumerate_mod2(2), point, radius=3)
+    assert len(calls) == 1
+    assert all(radius(m, point, 1e-12) == radius(wide[0], point, 1e-12) for m in wide)
+
+
+def tail_bound(g, lam, radius):
+    """B(R) = (g/2) (2/rho)^g Gamma(g/2, rho^2 (R - 1/2)^2), rho = sqrt(pi lam),
+    at 30 digits from mpmath's upper incomplete gamma."""
+    with mpmath.workdps(30):
+        rho = mpmath.sqrt(mpmath.pi * lam)
+        s = mpmath.mpf(g) / 2
+        return s * (2 / rho) ** g * mpmath.gammainc(s, (rho * (radius - mpmath.mpf(0.5))) ** 2)
+
+
+# A binary64 theta sum adds a few hundred terms of modulus at most 1, each
+# rounded to 2^-53 relative: far below this.
+ROUNDING = 1e-14
+
+
+@pytest.mark.parametrize("g, seed", [(1, 5), (2, 6), (3, 7)])
+def test_truncation_error_is_within_the_tail_bound(g, seed):
+    # Radii just above the lower limit 1/2 + sqrt(g/2)/rho, where B(R) is of
+    # order 1, and the radii truncation_radius picks from tail_tol 1e4 (target
+    # 1: the lower limit) down to 1e-8, against the 40-digit box sum.
+    point = random_tau(g, seeded(seed))
+    lam = point.im_min_eig
+    chars = enumerate_mod2(g)
+    refs = theta_box(chars, point.tau)
+    low = 0.5 + math.sqrt(g / 2) / math.sqrt(math.pi * lam)
+    runs = [(low * f, theta_constants(chars, point, radius=low * f)) for f in (1.0, 1.1, 1.3, 1.6)]
+    for tail_tol in (1e4, 1.0, 1e-4, 1e-8):
+        r = truncation_radius(chars[0], point, tail_tol)
+        assert tail_bound(g, lam, r) <= tail_tol * THETA_FLOOR * (1 + 1e-12)
+        runs.append((r, theta_constants(chars, point, tail_tol)))
+    for r, values in runs:
+        bound = tail_bound(g, lam, r)
+        for m, value, ref in zip(chars, values, refs):
+            assert abs(value - ref) <= bound + ROUNDING, (m, r, value, ref, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@example(3, 0.8, 5e-324)      # past x = 700, the asymptotic branch
+@example(2, 0.3, 1e-300)
+@example(4, 100.0, 1e4)       # the lower limit
+@given(st.integers(1, 4), st.floats(1e-2, 1e2),
+       st.floats(-30.0, 4.0).map(lambda e: 10.0 ** e))
+def test_truncation_radius_is_the_least_certified(g, lam, tail_tol):
+    # B(R) <= tail_tol * THETA_FLOOR (to the stated relative 1e-12), and R is
+    # least to a relative 1e-9 unless it sits at the lower limit.
+    point = siegel_point(1j * lam * np.eye(g))
+    lam = point.im_min_eig
+    r = truncation_radius(characteristic(*[0] * 2 * g), point, tail_tol)
+    target = mpmath.mpf(tail_tol) * THETA_FLOOR
+    low = 0.5 + math.sqrt(g / 2) / math.sqrt(math.pi * lam)
+    assert math.isfinite(r) and r >= low * (1 - 1e-15)
+    assert tail_bound(g, lam, r) <= target * (1 + 1e-12)
+    assert tail_bound(g, lam, r * (1 - 1e-9)) > target or r * (1 - 1e-9) < low
 
 
 def test_non_binary_characteristic_sums_its_binary_coset():
-    # R sees m' mod 2 only, so m'_1 = 2^40 + 1 sums exactly the terms m'_1 = 1 does.
+    # R does not see m and the coset sees m' mod 2 only, so m'_1 = 2^40 + 1
+    # sums exactly the terms m'_1 = 1 does.
     value = theta_constant(characteristic(2 ** 40 + 1, 0), TAU_I)
     assert value == theta_constant(characteristic(1, 0), TAU_I)
 
@@ -465,5 +523,20 @@ def test_unit_estimates_are_eighth_roots():
                                    allow_infinity=False), min_size=2, max_size=50))
 def test_max_deviation_is_the_pairwise_maximum(ratios):
     # Bit for bit the Python pairwise loop it replaced.
+    report = _assemble_report(list(range(len(ratios))), ratios, DEFAULT_TOL)
+    assert report.max_deviation == max(abs(x - y) for x in ratios for y in ratios)
+
+
+@pytest.mark.parametrize("ratios", [
+    [1 + 0.5j],                                                     # n = 1
+    [1 + 0.5j, -0.25 + 2j],                                         # n = 2
+    [0.7 - 0.7j] * 40,                                              # all equal
+    [complex(t, 2 * t - 1) for t in np.linspace(-3.0, 5.0, 60)],    # collinear
+    [1 + 1e-9 * k + 1e-10j * k * k for k in range(30)]
+    + [-1 + 3e-10 * k - 1e-9j * k for k in range(25)],              # two clusters
+    [1 + 1e-12 * k - 3e-13j * k for k in range(50)] + [1 + 1e-6j],  # one outlier
+    [1.2j, -1, 1] + [0] * 20,           # the widest pair avoids the point farthest out
+])
+def test_max_deviation_prunes_exactly(ratios):
     report = _assemble_report(list(range(len(ratios))), ratios, DEFAULT_TOL)
     assert report.max_deviation == max(abs(x - y) for x in ratios for y in ratios)
