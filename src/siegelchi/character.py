@@ -10,6 +10,7 @@ point enters.  The additive encoding used throughout is
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +56,8 @@ class EighthRoot:
         return f"EighthRoot(k={self.k})"
 
 
-ONE = EighthRoot(0)
+_ROOTS = tuple(EighthRoot(k) for k in range(8))
+ONE = _ROOTS[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +184,7 @@ def _row(m: Characteristic, mat: SymplecticMatrix) -> int:
 def chi(m: Characteristic, mat: SymplecticMatrix) -> EighthRoot:
     """Character value e(phase) * (-1)^(m'.delta'') at a level-2 matrix, for
     every integer characteristic, odd ones included; see _chi_rows."""
-    return EighthRoot(int(_chi_table(mat)[0][_row(m, mat)]))
+    return _ROOTS[_chi_table(mat)[0][_row(m, mat)]]
 
 
 def delta_sign_bit(m: Characteristic, mat: SymplecticMatrix) -> int:
@@ -289,77 +291,71 @@ def chi_from_exponents(m: Characteristic, exps: AbelianExponents) -> EighthRoot:
     return EighthRoot(4 * a - 2 * b)
 
 
-def _basis_char(g, prime_ones=(), double_ones=()):
-    mp = tuple(1 if i in prime_ones else 0 for i in range(g))
-    mpp = tuple(1 if i in double_ones else 0 for i in range(g))
-    return Characteristic(g=g, m_prime=mp, m_double=mpp)
+@functools.lru_cache(maxsize=None)
+def _exponent_tables(g: int) -> tuple:
+    """Read-only tables for extract_abelian_exponents, one column per exponent
+    in the order p_ij (row major), q_ii, q_ij (i < j), r_ii, r_ij (i < j): the
+    g(2g+1) x 4^g probe-difference matrix L, each column's scale, and the
+    4^g x g(2g+1) matrix A with A e = chi_from_exponents mod 8 at the binary
+    characteristics in enumerate_mod2 order.  At binary m, m_i^2 = m_i and
+    4 = -4 mod 8, so q_ii enters as 2 q_ii m'_i, r_ii as -2 r_ii m''_i, and every
+    other exponent as 4 times a product of two bits.
+    """
+    bits = _mod2_table(g)[1]
+    unit = 1 << np.arange(2 * g - 1, -1, -1)      # row of each one-bit characteristic
+    upper = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    columns = ([(4, (i, g + j)) for i in range(g) for j in range(g)]
+               + [(2, (i,)) for i in range(g)] + [(4, t) for t in upper]
+               + [(-2, (g + i,)) for i in range(g)]
+               + [(4, (g + i, g + j)) for i, j in upper])
+    probe = np.zeros((len(columns), 4 ** g), dtype=np.int64)
+    closed = np.empty((4 ** g, len(columns)), dtype=np.int64)
+    for c, (coef, t) in enumerate(columns):
+        closed[:, c] = coef * bits[:, t].prod(1) % 8
+        if len(t) == 1:
+            probe[c, unit[t]] = coef // 2           # k(e'_i) = 2 q_ii, -k(e''_i) = 2 r_ii
+        else:
+            probe[c, unit[list(t)]] = -1            # the two-unit probe minus its units
+            probe[c, unit[list(t)].sum()] = 1
+    tables = probe, np.array([abs(coef) for coef, _ in columns]), closed
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
-    """Recover the exponent table of a level-2 matrix by character interpolation.
+    """Recover the exponent table e of a level-2 matrix from its chi table k.
 
-    Reads chi at each unit and two-unit characteristic from the matrix's
-    table and inverts the closed form.  Any residual that is not divisible by
-    the expected power of two would falsify the closed form, so it aborts
-    loudly instead of guessing.
+    By the closed form, k(e'_i) = 2 q_ii and k(e''_i) = -2 r_ii mod 8.  A two-unit
+    probe e'_i + e''_j, e'_i + e'_j or e''_i + e''_j adds one cross term to the
+    diagonal terms of its units, so minus its two unit probes it leaves 4 p_ij,
+    4 q_ij or 4 r_ij.  So w = L k mod 8 is scale * e (see _exponent_tables).
+    A e = k is then checked at all 4^g rows.  That is not circular: A is
+    chi_generator's closed form summed over e, k comes from the matrix kernel
+    _chi_rows.  A table outside the image of A raises InterpolationInconsistent.
     """
     g = mat.g
-    ks = _chi_table(mat)[0].tolist()
-    probes = {pt: ks[_row(_basis_char(g, *pt), mat)] for pt in _probe_points(g)}
+    probe, scale, closed = _exponent_tables(g)
+    k = _chi_table(mat)[0]
+    w = probe @ k % 8
+    if (w % scale).any():
+        raise InterpolationInconsistent(
+            f"probe residuals {w.tolist()} are not multiples of {scale.tolist()}")
+    e = w // scale
+    miss = (closed @ e - k) % 8
+    if miss.any():
+        raise InterpolationInconsistent(
+            f"exponents miss chi at {np.count_nonzero(miss)} of {4 ** g} binary characteristics")
+    it = iter(e.tolist())                       # read in field order: p, q_ii, q_ij, r_ii, r_ij
 
-    def quarter(residual, what):
-        if residual % 4 != 0:
-            raise InterpolationInconsistent(
-                f"probe residual {residual} for {what} is not a multiple of 4")
-        return (residual // 4) % 2
+    def square(strict):
+        return tuple(tuple(next(it) if j > i or not strict else 0 for j in range(g))
+                     for i in range(g))
 
-    q_diag = []
-    for i in range(g):
-        k = probes[(i,), ()]
-        if k % 2 != 0:
-            raise InterpolationInconsistent(f"odd exponent {k} at diagonal q probe {i}")
-        q_diag.append((k // 2) % 4)
-    r_diag = []
-    for i in range(g):
-        k = probes[(), (i,)]
-        if k % 2 != 0:
-            raise InterpolationInconsistent(f"odd exponent {k} at diagonal r probe {i}")
-        r_diag.append((-(k // 2)) % 4)
+    def diag():
+        return tuple(next(it) for _ in range(g))
 
-    p = [[0] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(g):
-            k = probes[(i,), (j,)]
-            p[i][j] = quarter((k - 2 * q_diag[i] + 2 * r_diag[j]) % 8, f"p[{i}][{j}]")
-    q_off = [[0] * g for _ in range(g)]
-    r_off = [[0] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(i + 1, g):
-            k = probes[(i, j), ()]
-            q_off[i][j] = quarter((k - 2 * q_diag[i] - 2 * q_diag[j]) % 8,
-                                  f"q[{i}][{j}]")
-            k = probes[(), (i, j)]
-            r_off[i][j] = quarter((k + 2 * r_diag[i] + 2 * r_diag[j]) % 8,
-                                  f"r[{i}][{j}]")
-
-    out = AbelianExponents.make(g, p, q_diag, q_off, r_diag, r_off)
-    # Postcondition: the table reproduces every probe value.
-    for pt, k in probes.items():
-        assert chi_from_exponents(_basis_char(g, *pt), out).k == k
-    return out
-
-
-def _probe_points(g):
-    for i in range(g):
-        yield (i,), ()
-        yield (), (i,)
-    for i in range(g):
-        for j in range(g):
-            yield (i,), (j,)
-    for i in range(g):
-        for j in range(i + 1, g):
-            yield (i, j), ()
-            yield (), (i, j)
+    return AbelianExponents(g, square(False), diag(), square(True), diag(), square(True))
 
 
 def word_exponents(w: GeneratorWord) -> AbelianExponents:

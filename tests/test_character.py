@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelchi import (AbelianExponents, Characteristic, DegreeMismatch,
-                       EighthRoot, NotLevel2, characteristic,
+                       EighthRoot, InterpolationInconsistent, NotLevel2,
+                       characteristic,
                        chi, chi_even_values, chi_exponents, chi_from_exponents,
                        chi_generator, chi_word, delta_sign_bit,
                        enumerate_even_mod2, enumerate_mod2,
@@ -279,6 +280,15 @@ def test_table_is_built_once_per_matrix(monkeypatch):
     assert len(runs) == 3
 
 
+def test_chi_returns_shared_roots():
+    for g in (1, 2, 3):
+        mat = word_to_matrix(random_word(g, 10, 70 + g))
+        for m in enumerate_mod2(g):
+            root, ref = chi(m, mat), EighthRoot(chi_reference(m, mat)[0])
+            assert root == ref and root is character._ROOTS[ref.k]
+            assert (repr(root), hash(root), root.symbol) == (repr(ref), hash(ref), ref.symbol)
+
+
 def test_chi_exponents_returns_a_copy():
     b11 = generator("B", 1, 1, 1)
     out = chi_exponents(b11)
@@ -366,11 +376,63 @@ def test_extraction_requires_level2():
 def test_extraction_matches_letter_counts():
     # oracle: sum the word's letter exponents and reduce to the stored moduli
     rng = seeded(41)
-    for g in (1, 2, 3):
-        for _ in range(25):
+    for g, count in ((1, 25), (2, 25), (3, 25), (4, 4)):
+        for _ in range(count):
             w = random_word(g, rng.randint(0, 8), rng.randint(0, 10**9))
             mat = word_to_matrix(w)
             assert extract_abelian_exponents(mat) == word_exponents(w)
+
+
+def exponent_vector(exps):
+    """exps as one vector in the column order of character._exponent_tables."""
+    g = exps.g
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    return ([x for row in exps.p for x in row] + list(exps.q_diag)
+            + [exps.q_off[i][j] for i, j in pairs] + list(exps.r_diag)
+            + [exps.r_off[i][j] for i, j in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_exponent_tables_match_the_closed_form(g, data):
+    square = st.lists(st.lists(st.integers(-9, 9), min_size=g, max_size=g),
+                      min_size=g, max_size=g)
+    row = st.lists(st.integers(-9, 9), min_size=g, max_size=g)
+    exps = AbelianExponents.make(g, data.draw(square), data.draw(row), data.draw(square),
+                                 data.draw(row), data.draw(square))
+    probe, scale, closed = character._exponent_tables(g)
+    e = exponent_vector(exps)
+    k = closed @ e % 8
+    assert k.tolist() == [chi_from_exponents(m, exps).k for m in enumerate_mod2(g)]
+    assert (probe @ k % 8).tolist() == (scale * e).tolist()
+
+
+def with_table(mat, row, value):
+    """mat with its chi table patched to value at one row."""
+    k, s = character._chi_table(mat)
+    k = k.copy()
+    k[row] = value
+    vars(mat)["_chi_table"] = (k, s)
+    return mat
+
+
+@pytest.mark.parametrize("row, value", [
+    (8, 1),       # e'_1: odd where k = 2 q_11
+    (2, 7),       # e''_1: odd where k = -2 r_11
+    (10, 2),      # e'_1 + e''_1 minus its units is 2, not a multiple of 4
+])
+def test_extraction_rejects_inconsistent_probes(row, value):
+    with pytest.raises(InterpolationInconsistent, match="not multiples"):
+        extract_abelian_exponents(with_table(identity(2), row, value))
+
+
+def test_extraction_checks_every_row_not_only_the_probes():
+    # The all-ones m at g = 2 is no probe: shifting it by 4 leaves every
+    # probe consistent, and only the check over all 4^g rows sees it.
+    mat = word_to_matrix(random_word(2, 9, 44))
+    k = chi_exponents(mat)
+    with pytest.raises(InterpolationInconsistent, match="at 1 of 16"):
+        extract_abelian_exponents(with_table(mat, 15, k[15] + 4))
 
 
 def test_extraction_reproduces_chi_everywhere():
