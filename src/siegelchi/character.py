@@ -159,32 +159,29 @@ def _chi_rows(mat: SymplecticMatrix, bits: np.ndarray) -> tuple:
 
 def _chi_table(mat: SymplecticMatrix) -> tuple:
     """(k, s) of _chi_rows at all 4^g binary characteristics in enumerate_mod2
-    order: every chi value at mat, as chi sees only m mod 2.  Built on the
-    first request and kept read-only in the instance dict of the immutable
-    mat, as functools.cached_property would; a matrix that is not level 2
-    gets none, so every request on it raises NotLevel2."""
+    order, and k as shared _ROOTS: every chi value at mat, as chi sees only m mod
+    2.  Built on the first request and kept read-only in the instance dict of the
+    immutable mat, as functools.cached_property would; a matrix that is not level
+    2 gets none, so every request on it raises NotLevel2."""
     table = vars(mat).get("_chi_table")
     if table is None:
-        table = _chi_rows(mat, _mod2_table(mat.g)[1])
-        for column in table:
-            column.setflags(write=False)
-        vars(mat)["_chi_table"] = table
+        k, s = _chi_rows(mat, _mod2_table(mat.g)[1])
+        k.setflags(write=False)
+        s.setflags(write=False)
+        table = vars(mat)["_chi_table"] = k, s, tuple(_ROOTS[x] for x in k.tolist())
     return table
 
 
 def _row(m: Characteristic, mat: SymplecticMatrix) -> int:
-    """Index of m mod 2 in enumerate_mod2 order: its bits, most significant first."""
+    """Index of m mod 2 in enumerate_mod2 order, after the degree check."""
     _check_degree(m, mat)
-    index = 0
-    for x in m.vector():
-        index = 2 * index + x % 2
-    return index
+    return m._row
 
 
 def chi(m: Characteristic, mat: SymplecticMatrix) -> EighthRoot:
     """Character value e(phase) * (-1)^(m'.delta'') at a level-2 matrix, for
     every integer characteristic, odd ones included; see _chi_rows."""
-    return _ROOTS[_chi_table(mat)[0][_row(m, mat)]]
+    return _chi_table(mat)[2][_row(m, mat)]
 
 
 def delta_sign_bit(m: Characteristic, mat: SymplecticMatrix) -> int:

@@ -43,6 +43,12 @@ class Characteristic:
     def vector(self) -> tuple:
         return self.m_prime + self.m_double
 
+    @functools.cached_property
+    def _row(self) -> int:
+        """Index of self mod 2 in enumerate_mod2 order: its bits, most significant
+        first.  Kept in the instance dict, not a field: eq, hash, repr ignore it."""
+        return sum((x % 2) << k for k, x in enumerate(reversed(self.vector())))
+
     def mod2(self) -> "Characteristic":
         return Characteristic(
             g=self.g,

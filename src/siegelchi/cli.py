@@ -94,8 +94,11 @@ def _write(text: str, output: str):
     if output == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise BadShape(f"cannot write {output}: {exc}") from exc
 
 
 def _emit_json(data, output: str):

@@ -167,12 +167,14 @@ def inverse(m: SymplecticMatrix) -> SymplecticMatrix:
 
 
 def matrix_power(m: SymplecticMatrix, k: int) -> SymplecticMatrix:
-    """m**k for any integer k, exact."""
+    """m**k for any integer k, exact, by square-and-multiply over the bits of k."""
     if k < 0:
         return matrix_power(inverse(m), -k)
     out = identity(m.g)
-    for _ in range(k):
-        out = multiply(out, m)
+    for bit in bin(k)[2:]:
+        out = multiply(out, out)
+        if bit == "1":
+            out = multiply(out, m)
     return out
 
 
@@ -230,26 +232,33 @@ def generator(kind: str, i: int, j: int, g: int) -> SymplecticMatrix:
 
 
 def _generator_power(kind: str, i: int, j: int, g: int, e: int) -> SymplecticMatrix:
-    """generator(kind, i, j, g) ** e in closed form, for any integer e.
+    """generator(kind, i, j, g) ** e for any integer e."""
+    return word_to_matrix(GeneratorWord(g=g, letters=((kind, i, j, e),)))
 
-    A(i, i)^e is I with -1 at (i, i) and (g+i, g+i) when e is odd.  For i != j,
-    E_ij^2 = 0 gives A(i, j)^e = diag(I + 2e E_ij, I - 2e E_ji).  B and C are
-    unipotent, so their e-th powers carry 2e where the generator carries 2.
+
+def _right_multiply(out: np.ndarray, kind: str, i: int, j: int, e: int):
+    """out <- out @ generator(kind, i, j)**e in place, by column updates on the
+    (2g, 2g) object array out; i and j are 1-based and already checked.
+
+    Column l of out @ (I + x E_kl) is column l plus x times column k.  B(i, j)^e
+    = I + 2e (E_i,g+j + E_j,g+i), as its upper block squares to 0, and C(i, j)^e
+    is its transpose.  For i != j, E_ij^2 = 0 makes A(i, j)^e = diag(I + 2e E_ij,
+    I - 2e E_ji).  A(i, i) = diag(D, D), D = I - 2 E_ii an involution, so its e-th
+    power negates columns i and g+i for odd e.  No update reads a column another
+    writes, so their order does not matter; for i = j, B and C add once.
     """
-    _check_indices(kind, i, j, g)
-    i0, j0 = i - 1, j - 1
-    out = _identity(2 * g)
-    if kind == "A":
-        if i0 != j0:
-            out[i0, j0] = 2 * e
-            out[g + j0, g + i0] = -2 * e
-        elif e % 2:
-            out[i0, i0] = out[g + i0, g + i0] = -1
-    elif kind == "B":
-        out[i0, g + j0] = out[j0, g + i0] = 2 * e
-    else:
-        out[g + i0, j0] = out[g + j0, i0] = 2 * e
-    return SymplecticMatrix(g=g, entries=out)
+    g = out.shape[0] // 2
+    i, j, x = i - 1, j - 1, 2 * e
+    if kind != "A":
+        src, dst = (0, g) if kind == "B" else (g, 0)
+        out[:, dst + j] += x * out[:, src + i]
+        if i != j:
+            out[:, dst + i] += x * out[:, src + j]
+    elif i != j:
+        out[:, j] += x * out[:, i]
+        out[:, g + i] -= x * out[:, g + j]
+    elif e % 2:
+        out[:, [i, g + i]] *= -1
 
 
 @dataclass(frozen=True)
@@ -278,11 +287,11 @@ def word(g: int, letters: Iterable[Sequence]) -> GeneratorWord:
 
 
 def word_to_matrix(w: GeneratorWord) -> SymplecticMatrix:
-    """Ordered product of the word's generator powers; lands in the level-2 group."""
-    out = identity(w.g)
+    """Product of the word's letters, by column updates; lands in the level-2 group."""
+    out = _identity(2 * w.g)
     for kind, i, j, e in w.letters:
-        out = multiply(out, _generator_power(kind, i, j, w.g, e))
-    return out
+        _right_multiply(out, kind, i, j, e)
+    return SymplecticMatrix(g=w.g, entries=out)
 
 
 def alphabet(g: int) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -153,6 +154,7 @@ def test_chi_requires_level2():
     for _ in range(2):  # the failed first call leaves no table behind
         with pytest.raises(NotLevel2):
             chi(characteristic(1, 0), bad)
+    assert "_chi_table" not in vars(bad)
 
 
 def test_chi_degree_mismatch():
@@ -164,6 +166,28 @@ def test_chi_degree_mismatch():
         chi(characteristic(1, 0, 0, 0), b11)
     with pytest.raises(DegreeMismatch):
         delta_sign_bit(characteristic(1, 0, 0, 0), b11)
+    m = characteristic(1, 0, 0, 0)
+    chi(m, identity(2))  # caches the row of m
+    with pytest.raises(DegreeMismatch):
+        chi(m, b11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**9), st.integers(0, 10), st.data())
+def test_chi_reads_the_cached_row(g, seed, length, data):
+    mat = word_to_matrix(random_word(g, length, seed))
+    entries = st.lists(st.integers(-10**20, 10**20), min_size=2 * g, max_size=2 * g)
+    m = Characteristic.from_vector(data.draw(entries))
+    assert chi(m, mat) is chi(m.mod2(), mat)
+    assert chi(m, mat).k == chi_reference(m, mat)[0]
+
+
+def test_cached_row_leaves_eq_hash_and_repr_alone():
+    m, fresh = characteristic(3, -1, 2, 10**20, 0, 5), characteristic(3, -1, 2, 10**20, 0, 5)
+    chi(m, identity(3))
+    assert "_row" in vars(m) and "_row" not in vars(fresh)
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(Characteristic)] == ["g", "m_prime", "m_double"]
 
 
 def test_chi_is_multiplicative():
@@ -409,10 +433,10 @@ def test_exponent_tables_match_the_closed_form(g, data):
 
 def with_table(mat, row, value):
     """mat with its chi table patched to value at one row."""
-    k, s = character._chi_table(mat)
+    k, s, _ = character._chi_table(mat)
     k = k.copy()
     k[row] = value
-    vars(mat)["_chi_table"] = (k, s)
+    vars(mat)["_chi_table"] = (k, s, tuple(character._ROOTS[x % 8] for x in k.tolist()))
     return mat
 
 

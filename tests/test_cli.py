@@ -286,11 +286,20 @@ def test_bad_config_exits_2_without_traceback(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["verify", "--trials", "1"], ["table"]],
+                         ids=["verify", "table"])
+def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / "missing" / "out.json"))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 # sha256 of the exact suites A, B, D, E of `verify --seed 42 --no-timestamp`,
 # plus suite C's pass/fail and counts; C's floats depend on the BLAS build.
 GOLDEN_EXACT_SUITES = {
     (1, 100): "cab3f8713ccc89eb4f336f9b238ca1e3e461210a1c75c3b4069f5d7f109885f1",
     (2, 20): "194a8b9e6e1319bb9fe2aa25971899d8e7dd9394fe0bba3dc27724eeb01a3647",
+    (3, 10): "9c0f079975fd162e2217491d49740b77eb20aae3b7efd83ce9afc9f3d0255e97",
 }
 
 

@@ -11,7 +11,7 @@ from siegelchi import (BadShape, IndexOutOfRange, NotSymplectic, alphabet,
                        word_to_matrix)
 from siegelchi.symplectic import _generator_power
 
-from util import random_level2, seeded
+from util import random_level2, seeded, word_to_matrix_reference
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_generator_index_errors():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_generator_powers_in_closed_form(g, data):
-    # The reference is repeated multiplication; word_to_matrix must match it too.
+    # The reference is matrix_power's products; word_to_matrix must match it too.
     powers = {(kind, i, j, e): matrix_power(generator(kind, i, j, g), e)
               for kind, i, j in alphabet(g) for e in range(-6, 7)}
     for (kind, i, j, e), expected in powers.items():
@@ -185,9 +185,52 @@ def test_generator_powers_in_closed_form(g, data):
     assert word_to_matrix(word(g, letters)) == product
 
 
+@pytest.mark.parametrize("kind, i, j", [("B", 1, 1), ("B", 1, 2), ("C", 2, 2),
+                                         ("C", 1, 2), ("A", 1, 2), ("A", 2, 1),
+                                         ("A", 2, 2)])
+def test_matrix_power_matches_closed_form(kind, i, j):
+    # Square-and-multiply makes about 2 log2 |k| products, so k = 10**6 is cheap.
+    base = generator(kind, i, j, 2)
+    for k in [*range(-7, 8), 1000, 10**6]:
+        assert matrix_power(base, k) == _generator_power(kind, i, j, 2, k), k
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 6),
+       st.integers(-25, 25), st.integers(-25, 25))
+def test_matrix_power_adds_exponents(g, seed, length, a, b):
+    mat = word_to_matrix(random_word(g, length, seed))
+    assert matrix_power(mat, a + b) == multiply(matrix_power(mat, a), matrix_power(mat, b))
+
+
 # ---------------------------------------------------------------------------
 # Words
 # ---------------------------------------------------------------------------
+
+def small_exponents():
+    return st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_word_to_matrix_matches_product_reference(g, data):
+    # Column updates against one exact product per letter.  One letter that is
+    # not A(i, i) gets an exponent beyond 2^63: M = P G^E Q = P Q + 2E P N Q with
+    # P N Q != 0, so some entry leaves int64 and no cast can hide in the path.
+    letters = data.draw(st.lists(st.tuples(st.sampled_from(alphabet(g)), small_exponents()),
+                                 max_size=8))
+    unipotent = [t for t in alphabet(g) if t[0] != "A" or t[1] != t[2]]
+    big = data.draw(st.integers(2**63 + 1, 2**80)) * data.draw(st.sampled_from([-1, 1]))
+    letters.insert(data.draw(st.integers(0, len(letters))),
+                   (data.draw(st.sampled_from(unipotent)), big))
+    w = word(g, [(*t, e) for t, e in letters])
+    mat = word_to_matrix(w)
+    assert mat == word_to_matrix_reference(w)
+    assert max(abs(x) for x in mat.entries.flat) >= 2**63
+    assert all(type(x) is int for x in mat.entries.flat)
+    assert not mat.entries.flags.writeable
+    assert make_matrix(mat.entries.tolist()) == mat
+
 
 def test_empty_word_is_identity():
     assert word_to_matrix(word(2, [])) == identity(2)

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: samplers for the full symplectic group
-(beyond the level-2 alphabet), random upper-half-space points, and the exact
-per-characteristic reference for the character (preimage, delta, shift sign),
-and a direct high-precision box sum for theta constants."""
+(beyond the level-2 alphabet), random upper-half-space points, a
+product-per-letter reference for word_to_matrix, the exact per-characteristic
+reference for the character (preimage, delta, shift sign), and a direct
+high-precision box sum for theta constants."""
 
 import itertools
 import math
@@ -11,10 +12,36 @@ import mpmath
 import numpy as np
 
 from siegelchi import (Characteristic, SiegelChiError, SiegelPoint, act,
-                       make_matrix, multiply, phase_level2, random_word,
-                       word_to_matrix)
+                       identity, make_matrix, matrix_power, multiply,
+                       phase_level2, random_word, word_to_matrix)
 from siegelchi.characteristics import _halves
 from siegelchi.errors import _check_degree
+
+
+def generator_reference(kind, i, j, g):
+    """The generator written entry by entry from its definition: A(i, j) is
+    diag(a, a^-T) with a = I + 2 E_ij (i != j) or I - 2 E_ii, B(i, j) carries 2
+    at (i, g+j) and (j, g+i), and C(i, j) is its transpose."""
+    i, j = i - 1, j - 1
+    out = np.eye(2 * g, dtype=object)
+    if kind == "A" and i != j:
+        out[i, j], out[g + j, g + i] = 2, -2
+    elif kind == "A":
+        out[i, i] = out[g + i, g + i] = -1
+    elif kind == "B":
+        out[i, g + j] = out[j, g + i] = 2
+    else:
+        out[g + i, j] = out[g + j, i] = 2
+    return make_matrix(out)
+
+
+def word_to_matrix_reference(w):
+    """The word's matrix as one exact product per letter, each letter's power
+    taken by matrix_power of generator_reference."""
+    out = identity(w.g)
+    for kind, i, j, e in w.letters:
+        out = multiply(out, matrix_power(generator_reference(kind, i, j, w.g), e))
+    return out
 
 
 def random_level2(g, rng, max_length=6):
