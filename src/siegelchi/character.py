@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,9 +73,6 @@ class PhaseValue:
     def eighths(self) -> int:
         """Residue t in {0..7} with the phase congruent to t/8 mod 1."""
         return (-self.raw_numerator) % 8
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.eighths, 8)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseValue):

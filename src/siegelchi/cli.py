@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -86,7 +87,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise BadShape(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -226,56 +227,45 @@ def _random_point(g: int, rng: random.Random) -> SiegelPoint:
     return SiegelPoint.make(re + 1j * im)
 
 
-def _suite_homomorphism(config: RunConfig) -> dict:
-    g = config.g
-    failures = 0
-    for t in range(config.trials):
-        rng = _rng(config, "A", t)
-        m1 = word_to_matrix(_random_word(g, rng.randint(0, config.word_length), rng))
-        m2 = word_to_matrix(_random_word(g, rng.randint(0, config.word_length), rng))
-        prod = multiply(m1, m2)
-        failures += int(((chi_exponents(m1) + chi_exponents(m2)) % 8
-                         != chi_exponents(prod)).sum())
+def _counted(suite: str, trial, config: RunConfig) -> dict:
+    """Sum the failure counts of trial(config, rng) over the suite's trials."""
+    failures = sum(trial(config, _rng(config, suite, t)) for t in range(config.trials))
     return {"trials": config.trials, "failures": failures, "passed": failures == 0}
 
 
-def _suite_triviality(config: RunConfig) -> dict:
-    g = config.g
-    failures = 0
-    for t in range(config.trials):
-        mat = _random_igusa48(g, _rng(config, "B", t))
-        if not is_igusa48(mat) or chi_exponents(mat).any():
-            failures += 1
-    return {"trials": config.trials, "failures": failures, "passed": failures == 0}
+def _homomorphism_trial(config: RunConfig, rng: random.Random) -> int:
+    m1 = word_to_matrix(_random_word(config.g, rng.randint(0, config.word_length), rng))
+    m2 = word_to_matrix(_random_word(config.g, rng.randint(0, config.word_length), rng))
+    prod = multiply(m1, m2)
+    return int(((chi_exponents(m1) + chi_exponents(m2)) % 8 != chi_exponents(prod)).sum())
 
 
-def _numeric_trial(config: RunConfig, t: int) -> dict:
-    rng = _rng(config, "C", t)
-    g = config.g
-    length = rng.randint(1, min(4, config.word_length))
-    mat = word_to_matrix(_random_word(g, length, rng))
-    point = _random_point(g, rng)
+def _triviality_trial(config: RunConfig, rng: random.Random) -> int:
+    mat = _random_igusa48(config.g, rng)
+    return int(not is_igusa48(mat) or chi_exponents(mat).any())
+
+
+def _sweep_trial(config: RunConfig, sweep, *args) -> dict:
     try:
-        report = verify_character(mat, point, tol=config.tol, tail_tol=config.tail_tol)
+        report = sweep(*args, tol=config.tol, tail_tol=config.tail_tol)
         return {"passed": report.passed, "max_deviation": report.max_deviation}
     except TooFewUsable as exc:
         return {"passed": False, "error": str(exc)}
 
 
-def _product_trial(config: RunConfig, t: int) -> dict:
-    rng = _rng(config, "Cp", t)
-    g = config.g
-    mat = word_to_matrix(_random_word(g, rng.randint(1, 3), rng))
-    point = _random_point(g, rng)
-    evens = enumerate_even_mod2(g)
+def _character_trial(config: RunConfig, rng: random.Random) -> dict:
+    length = rng.randint(1, min(4, config.word_length))
+    mat = word_to_matrix(_random_word(config.g, length, rng))
+    return _sweep_trial(config, verify_character, mat, _random_point(config.g, rng))
+
+
+def _product_trial(config: RunConfig, rng: random.Random) -> dict:
+    mat = word_to_matrix(_random_word(config.g, rng.randint(1, 3), rng))
+    point = _random_point(config.g, rng)
+    evens = enumerate_even_mod2(config.g)
     m = rng.choice(evens)
     n = rng.choice(evens)
-    try:
-        report = verify_igusa_product(m, n, mat, point,
-                                      tol=config.tol, tail_tol=config.tail_tol)
-        return {"passed": report.passed, "max_deviation": report.max_deviation}
-    except TooFewUsable as exc:
-        return {"passed": False, "error": str(exc)}
+    return _sweep_trial(config, verify_igusa_product, m, n, mat, point)
 
 
 def _suite_numeric(config: RunConfig) -> dict:
@@ -287,8 +277,8 @@ def _suite_numeric(config: RunConfig) -> dict:
                            f"{TIGHTNESS_FACTOR:g} * tail_tol")}
     n_char = max(1, config.trials // 5)
     n_prod = max(1, config.trials // 10)
-    results = ([_numeric_trial(config, t) for t in range(n_char)]
-               + [_product_trial(config, t) for t in range(n_prod)])
+    results = ([_character_trial(config, _rng(config, "C", t)) for t in range(n_char)]
+               + [_product_trial(config, _rng(config, "Cp", t)) for t in range(n_prod)])
     failures = sum(1 for r in results if not r["passed"])
     deviations = [r.get("max_deviation", 0.0) for r in results]
     return {"character_trials": n_char, "product_trials": n_prod,
@@ -333,37 +323,30 @@ def _suite_equivalence(config: RunConfig) -> dict:
             "passed": up_to_sign == 0}
 
 
-def _suite_phase_congruences(config: RunConfig) -> dict:
+def _phase_trial(config: RunConfig, rng: random.Random) -> int:
     g = config.g
-    failures = 0
-    for t in range(config.trials):
-        rng = _rng(config, "E", t)
-        mat = word_to_matrix(_random_word(g, rng.randint(1, config.word_length), rng))
-        other = word_to_matrix(_random_word(g, rng.randint(1, config.word_length), rng))
-        m = Characteristic.from_vector([rng.randint(-4, 4) for _ in range(2 * g)])
-        bump = Characteristic.from_vector([rng.randint(-3, 3) for _ in range(2 * g)])
-        base = phase_level2(m, mat)
-        if phase_level2(shift(m, bump), mat) != base:
-            failures += 1
-        if phase_level2(act(other, m), mat) != base:
-            failures += 1
-        if phase_full(m, mat) != base:
-            failures += 1
-    return {"trials": config.trials, "failures": failures, "passed": failures == 0}
+    mat = word_to_matrix(_random_word(g, rng.randint(1, config.word_length), rng))
+    other = word_to_matrix(_random_word(g, rng.randint(1, config.word_length), rng))
+    m = Characteristic.from_vector([rng.randint(-4, 4) for _ in range(2 * g)])
+    bump = Characteristic.from_vector([rng.randint(-3, 3) for _ in range(2 * g)])
+    base = phase_level2(m, mat)
+    return sum(phase != base for phase in (phase_level2(shift(m, bump), mat),
+                                           phase_level2(act(other, m), mat),
+                                           phase_full(m, mat)))
+
+
+_SUITES = (("A_homomorphism", functools.partial(_counted, "A", _homomorphism_trial)),
+           ("B_triviality", functools.partial(_counted, "B", _triviality_trial)),
+           ("C_numeric", _suite_numeric),
+           ("D_equivalence", _suite_equivalence),
+           ("E_phase_congruences", functools.partial(_counted, "E", _phase_trial)))
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(g=args.g, seed=args.seed, trials=args.trials,
-                       word_length=args.word_length, tol=args.tol,
-                       tail_tol=args.tail_tol)
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     config.validate()
     suites = {}
-    runners = [("A_homomorphism", _suite_homomorphism),
-               ("B_triviality", _suite_triviality),
-               ("C_numeric", _suite_numeric),
-               ("D_equivalence", _suite_equivalence),
-               ("E_phase_congruences", _suite_phase_congruences)]
-    for name, runner in runners:
+    for name, runner in _SUITES:
         try:
             suites[name] = runner(config)
         except SiegelChiError as exc:  # partial report still gets written
@@ -380,68 +363,49 @@ def cmd_verify(args) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# Every flag once, in --help order.  The defaults verify shares with random
+# and table are RunConfig's.
+_FLAGS = {
+    "--matrix": {"required": True, "help": "path to matrix JSON, or - for stdin"},
+    "--char": {"required": True, "help": "characteristic as c1,...,c2g"},
+    "--g": {"type": int, "default": RunConfig.g, "help": f"degree (default {RunConfig.g})"},
+    "--seed": {"type": int, "default": RunConfig.seed},
+    "--trials": {"type": int, "default": RunConfig.trials},
+    "--word-length": {"type": int, "default": RunConfig.word_length},
+    "--tol": {"type": float, "default": RunConfig.tol},
+    "--tail-tol": {"type": float, "default": RunConfig.tail_tol},
+    "--markdown": {"action": "store_true", "help": "render a markdown table instead of JSON"},
+    "--no-timestamp": {"action": "store_true",
+                       "help": "omit the timestamp for byte-identical reports"},
+    "--output": {"default": "-", "help": "output file, - for stdout"},
+}
+
+# subcommand: (handler, help, flags besides --output, which every one takes)
+_SUBCOMMANDS = {
+    "chi": (cmd_chi, "evaluate the character at one characteristic", ("--matrix", "--char")),
+    "table": (cmd_table, "generator character table, both code paths", ("--g", "--markdown")),
+    "verify": (cmd_verify, "run the exact and numeric suites",
+               ("--g", "--seed", "--trials", "--word-length", "--tol", "--tail-tol",
+                "--no-timestamp")),
+    "member": (cmd_member, "membership in the congruence subgroups", ("--matrix",)),
+    "random": (cmd_random, "sample a random generator word",
+               ("--g", "--seed", "--word-length")),
+    "decompose": (cmd_decompose, "recover exponents mod the commutator subgroup",
+                  ("--matrix",)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="siegelchi",
         description="Characters of the level-2 symplectic congruence group "
                     "and theta-constant verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, matrix=False, char=False, g=False, seed=False,
-                   trials=False, word_length=False, tols=False, markdown=False,
-                   no_timestamp=False):
-        if matrix:
-            p.add_argument("--matrix", required=True,
-                           help="path to matrix JSON, or - for stdin")
-        if char:
-            p.add_argument("--char", required=True,
-                           help="characteristic as c1,...,c2g")
-        if g:
-            p.add_argument("--g", type=int, default=1, help="degree (default 1)")
-        if seed:
-            p.add_argument("--seed", type=int, default=42)
-        if trials:
-            p.add_argument("--trials", type=int, default=100)
-        if word_length:
-            p.add_argument("--word-length", dest="word_length", type=int, default=6)
-        if tols:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-            p.add_argument("--tail-tol", dest="tail_tol", type=float,
-                           default=DEFAULT_TAIL_TOL)
-        if markdown:
-            p.add_argument("--markdown", action="store_true",
-                           help="render a markdown table instead of JSON")
-        if no_timestamp:
-            p.add_argument("--no-timestamp", dest="no_timestamp",
-                           action="store_true",
-                           help="omit the timestamp for byte-identical reports")
-        p.add_argument("--output", default="-", help="output file, - for stdout")
-
-    p = sub.add_parser("chi", help="evaluate the character at one characteristic")
-    add_common(p, matrix=True, char=True)
-    p.set_defaults(func=cmd_chi)
-
-    p = sub.add_parser("table", help="generator character table, both code paths")
-    add_common(p, g=True, markdown=True)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="run the exact and numeric suites")
-    add_common(p, g=True, seed=True, trials=True, word_length=True, tols=True,
-               no_timestamp=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("member", help="membership in the congruence subgroups")
-    add_common(p, matrix=True)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("random", help="sample a random generator word")
-    add_common(p, g=True, seed=True, word_length=True)
-    p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("decompose", help="recover exponents mod the commutator subgroup")
-    add_common(p, matrix=True)
-    p.set_defaults(func=cmd_decompose)
-
+    for name, (func, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--output"):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -269,8 +269,14 @@ class GeneratorWord:
     letters: tuple  # of (kind, i, j, exponent)
 
     def __post_init__(self):
-        for kind, i, j, _ in self.letters:
+        try:
+            letters = tuple((str(k), operator.index(i), operator.index(j),
+                             operator.index(e)) for k, i, j, e in self.letters)
+        except (TypeError, ValueError) as exc:
+            raise BadShape(f"word letters must be (kind, i, j, exponent): {exc}") from exc
+        for kind, i, j, _ in letters:
             _check_indices(kind, i, j, self.g)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
@@ -278,12 +284,7 @@ class GeneratorWord:
 
 def word(g: int, letters: Iterable[Sequence]) -> GeneratorWord:
     """Build a word from an iterable of (kind, i, j, exponent) items."""
-    try:
-        normalized = tuple((str(k), operator.index(i), operator.index(j),
-                            operator.index(e)) for k, i, j, e in letters)
-    except (TypeError, ValueError) as exc:
-        raise BadShape(f"word letters must be (kind, i, j, exponent): {exc}") from exc
-    return GeneratorWord(g=g, letters=normalized)
+    return GeneratorWord(g=g, letters=letters)
 
 
 def word_to_matrix(w: GeneratorWord) -> SymplecticMatrix:

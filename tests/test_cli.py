@@ -1,12 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from siegelchi import (generator, is_igusa48, is_level2, is_level4,
+import siegelchi
+from siegelchi import (DEFAULT_TAIL_TOL, DEFAULT_TOL, SingularFactor, TooFewUsable,
+                       generator, is_igusa48, is_level2, is_level4,
                        matrix_power, random_igusa48, random_word, serialize,
                        word_to_matrix)
-from siegelchi.cli import main
+from siegelchi import cli
+from siegelchi.cli import RunConfig, _build_parser, main
 
 IDENTITY = {"g": 1, "m": [[1, 0], [0, 1]]}
 B11 = {"g": 1, "m": [[1, 2], [0, 1]]}
@@ -86,6 +94,32 @@ def test_parse_errors_exit_2_without_traceback(tmp_path, capsys, payload, argv):
     code, out, err = run(capsys, *argv, "--matrix", path)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+UNDECODABLE = {"non-utf8": b'{"g": 1, "m": \xff}', "deep-nesting": b"[" * 100000}
+
+
+@pytest.mark.parametrize("argv", [["chi", "--char", "1,0"], ["member"], ["decompose"]],
+                         ids=["chi", "member", "decompose"])
+@pytest.mark.parametrize("content", list(UNDECODABLE.values()), ids=list(UNDECODABLE))
+def test_undecodable_json_exits_2_without_traceback(tmp_path, capsys, content, argv):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, "--matrix", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_deeply_nested_json_exits_2_in_a_fresh_process(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(UNDECODABLE["deep-nesting"])
+    src = str(Path(siegelchi.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    argv = [sys.executable, "-m", "siegelchi.cli", "member", "--matrix", str(path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +301,33 @@ def test_verify_too_tight_tolerance(tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularFactor("c tau + d is singular")
+
+    monkeypatch.setattr(cli, "verify_character", singular)
+    code, out, _ = run(capsys, "verify", "--trials", "10", "--no-timestamp")
+    assert code == 1
+    suites = json.loads(out)["suites"]
+    assert suites.pop("C_numeric") == {"passed": False, "error": "c tau + d is singular"}
+    assert sorted(suites) == ["A_homomorphism", "B_triviality", "D_equivalence",
+                              "E_phase_congruences"]
+    assert all(suite["passed"] for suite in suites.values())
+
+
+def test_numeric_trial_below_the_floor_is_a_failure(capsys, monkeypatch):
+    def too_few(*args, **kwargs):
+        raise TooFewUsable("only 1 theta constants above the floor")
+
+    monkeypatch.setattr(cli, "verify_igusa_product", too_few)
+    code, out, _ = run(capsys, "verify", "--trials", "10", "--no-timestamp")
+    assert code == 1
+    numeric = json.loads(out)["suites"]["C_numeric"]
+    assert (numeric["character_trials"], numeric["product_trials"]) == (2, 1)
+    assert numeric["failures"] == 1 and numeric["passed"] is False
+    assert numeric["max_deviation"] < DEFAULT_TOL   # the character trials still ran
+
+
 def test_verify_rejects_bad_config(capsys):
     code, _, _ = run(capsys, "verify", "--trials", "0")
     assert code == 2
@@ -337,3 +398,46 @@ def test_verify_surfaces_sign_coset_in_report(tmp_path, capsys):
     suite = json.loads(out_file.read_text())["suites"]["D_equivalence"]
     assert suite["discrepancies_up_to_sign"] == 0
     assert suite["literal_discrepancies"] == suite["sign_coset_elements"]
+
+
+# ---------------------------------------------------------------------------
+# argument parser
+# ---------------------------------------------------------------------------
+
+PARSER_DEFAULTS = {
+    "chi": {"matrix": "m.json", "char": "1,0", "output": "-"},
+    "table": {"g": 1, "markdown": False, "output": "-"},
+    "verify": {"g": 1, "seed": 42, "trials": 100, "word_length": 6, "tol": DEFAULT_TOL,
+               "tail_tol": DEFAULT_TAIL_TOL, "no_timestamp": False, "output": "-"},
+    "member": {"matrix": "m.json", "output": "-"},
+    "random": {"g": 1, "seed": 42, "word_length": 6, "output": "-"},
+    "decompose": {"matrix": "m.json", "output": "-"},
+}
+REQUIRED_FLAGS = {"chi": ["--matrix", "m.json", "--char", "1,0"],
+                  "member": ["--matrix", "m.json"], "decompose": ["--matrix", "m.json"]}
+
+
+def test_parser_keys_and_defaults():
+    parser = _build_parser()
+    for command, defaults in PARSER_DEFAULTS.items():
+        args = vars(parser.parse_args([command, *REQUIRED_FLAGS.get(command, [])]))
+        assert callable(args.pop("func"))
+        assert args == {"command": command, **defaults}
+    args = vars(parser.parse_args(["verify"]))
+    assert {name: args[name] for name in asdict(RunConfig())} == asdict(RunConfig())
+
+
+# sha256 of the six subcommands' --help texts, in PARSER_DEFAULTS order, at
+# COLUMNS=80 (Python 3.11 argparse).
+GOLDEN_HELP = "48dd8ae0650fd66824c204c689b9a46942f8cead9a4a1ecfe6092c6f3199fed3"
+
+
+def test_subcommand_help_matches_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for command in PARSER_DEFAULTS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == GOLDEN_HELP

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (BadShape, IndexOutOfRange, NotSymplectic, alphabet,
+from siegelchi import (BadShape, GeneratorWord, IndexOutOfRange, NotSymplectic, alphabet,
                        commutator, generator, identity, inverse,
                        is_igusa48,
                        is_level2, is_level4, make_matrix, matrix_power,
@@ -59,6 +59,20 @@ def test_asymmetric_ab_rejected():
     bad = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(NotSymplectic):
         make_matrix(bad)
+
+
+def test_asymmetric_cd_rejected():
+    # c d^T = [[0, 1], [0, 0]] is not symmetric
+    bad = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(NotSymplectic):
+        make_matrix(bad)
+
+
+def test_equal_matrices_hash_equal():
+    built = word_to_matrix(word(2, [("A", 1, 2, 1), ("B", 1, 2, -1)]))
+    parsed = make_matrix(built.entries.tolist())
+    assert built is not parsed and hash(built) == hash(parsed)
+    assert len({built, parsed, identity(2)}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +248,15 @@ def test_word_to_matrix_matches_product_reference(g, data):
 
 def test_empty_word_is_identity():
     assert word_to_matrix(word(2, [])) == identity(2)
+
+
+@pytest.mark.parametrize("build", [GeneratorWord, word], ids=["GeneratorWord", "word"])
+def test_word_letters_are_normalized(build):
+    with pytest.raises(BadShape):
+        build(1, (("B", 1, 1, 0.5),))
+    w = build(2, ((np.str_("A"), np.int64(1), np.int64(2), np.int64(-1)),))
+    assert w.letters == (("A", 1, 2, -1),)
+    assert [type(x) for x in w.letters[0]] == [str, int, int, int]
 
 
 def test_word_product_example():

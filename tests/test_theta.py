@@ -455,6 +455,13 @@ def test_verify_igusa_product_requires_even():
                              identity(1), TAU_I)
 
 
+def test_verify_igusa_product_requested_pair_below_floor():
+    # theta[1, 0](20 i) is about 3e-7: below the floor, while two even classes clear it
+    with pytest.raises(TooFewUsable, match="requested characteristic below the theta floor"):
+        verify_igusa_product(characteristic(1, 0), characteristic(0, 0),
+                             identity(1), siegel_point([[20j]]))
+
+
 # A^(10^6) on e_1, e_2 is level 2, and at tau = i I its d block has condition about 4e12.
 SINGULAR = word_to_matrix(word(2, [("A", 1, 2, 10 ** 6)]))
 TAU_I2 = siegel_point([[1j, 0], [0, 1j]])
@@ -540,3 +547,11 @@ def test_max_deviation_is_the_pairwise_maximum(ratios):
 def test_max_deviation_prunes_exactly(ratios):
     report = _assemble_report(list(range(len(ratios))), ratios, DEFAULT_TOL)
     assert report.max_deviation == max(abs(x - y) for x in ratios for y in ratios)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_max_deviation_of_non_finite_ratios():
+    # no finite distance to order rows by: every pair is compared
+    assert _assemble_report([0, 1, 2], [1, math.inf, 2], DEFAULT_TOL).max_deviation == math.inf
+    report = _assemble_report([0, 1, 2], [1, complex(math.nan, 0), 2], DEFAULT_TOL)
+    assert math.isnan(report.max_deviation) and not report.passed
