@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import cmath
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InterpolationInconsistent, NotLevel2, _check_degree
-from .characteristics import Characteristic, _halves, _mod2_table
-from .symplectic import (GeneratorWord, SymplecticMatrix, _blocks,
-                         _check_indices, congruent_to_identity, is_level2)
+from .characteristics import Characteristic, _mod2_table, _monomial_table
+from .symplectic import (GeneratorWord, SymplecticMatrix, _blocks, _check_indices,
+                         _dot, _half_diagonals, _mat_vec, is_level2)
 
 _SYMBOLS = ("1", "ζ8", "i", "iζ8", "-1", "-ζ8", "-i", "-iζ8")
 
@@ -89,20 +90,29 @@ class PhaseValue:
         return f"PhaseValue(raw_numerator={self.raw_numerator})"
 
 
+def _phase_terms(m: Characteristic, mat: SymplecticMatrix) -> tuple:
+    """b m', d m', a m'', c m'' and (a b^T)_0 as lists of Python ints, from two
+    mat-vecs of the entries' int rows with (0, m') and (m'', 0)."""
+    g = m.g
+    rows = mat.entries.tolist()
+    zero = [0] * g
+    bd = _mat_vec(rows, zero + [int(x) for x in m.m_prime])
+    ac = _mat_vec(rows, [int(x) for x in m.m_double] + zero)
+    return bd[:g], bd[g:], ac[:g], ac[g:], _half_diagonals(rows[:g])
+
+
 def phase_full(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
     """Transformation phase for an arbitrary symplectic matrix.
 
     -1/8 ( m'.(b^T d).m' + m''.(a^T c).m'' - 2 m'.(b^T c).m''
-           - 2 (a b^T)_0 . (d m' - c m'') ).
+           - 2 (a b^T)_0 . (d m' - c m'') ),
+    with m'.(b^T d).m' = (b m').(d m') and so on for the other two forms.
     """
     _check_degree(m, mat)
-    mp, mpp = _halves(m)
-    ab0 = mat.ab_diag()
-    num = (mp @ (mat.b.T @ mat.d) @ mp
-           + mpp @ (mat.a.T @ mat.c) @ mpp
-           - 2 * (mp @ (mat.b.T @ mat.c) @ mpp)
-           - 2 * (ab0 @ (mat.d @ mp - mat.c @ mpp)))
-    return PhaseValue(raw_numerator=int(num))
+    bm, dm, am, cm, ab0 = _phase_terms(m, mat)
+    num = (_dot(bm, dm) + _dot(am, cm) - 2 * _dot(bm, cm)
+           - 2 * _dot(ab0, map(operator.sub, dm, cm)))
+    return PhaseValue(raw_numerator=num)
 
 
 def phase_level2(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
@@ -110,17 +120,15 @@ def phase_level2(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
     _check_degree(m, mat)
     if not is_level2(mat):
         raise NotLevel2("matrix not congruent to I mod 2")
-    mp, mpp = _halves(m)
-    num = (mp @ (mat.b.T @ mat.d) @ mp
-           + mpp @ (mat.a.T @ mat.c) @ mpp
-           - 2 * (mat.ab_diag() @ (mat.d @ mp)))
-    return PhaseValue(raw_numerator=int(num))
+    bm, dm, am, cm, ab0 = _phase_terms(m, mat)
+    return PhaseValue(raw_numerator=_dot(bm, dm) + _dot(am, cm) - 2 * _dot(ab0, dm))
 
 
-def _chi_rows(mat: SymplecticMatrix, bits: np.ndarray) -> tuple:
+def _chi_rows(mat: SymplecticMatrix, monomials: np.ndarray) -> tuple:
     """The one character kernel: exponents k and sign bits s of chi(m, mat)
-    for each row m = (m', m'') of the (K x 2g) int64 matrix bits of binary
-    characteristics, as two int64 arrays in the order of the rows.
+    at every binary characteristic m = (p, q) = (m', m''), as two int64 arrays
+    in the order of the rows of monomials, the matrix F = [p x p | q x q |
+    p x q | p] of characteristics._monomial_table.
 
     chi(m, M) = e(phi) (-1)^s with -8 phi = m'.(b^T d).m' + m''.(a^T c).m''
     - 2 (a b^T)_0.(d m') and s = m'.delta'' mod 2, delta = (n - m)/2 for the
@@ -137,20 +145,34 @@ def _chi_rows(mat: SymplecticMatrix, bits: np.ndarray) -> tuple:
       (a b^T)_0 are even, d^T (a b^T)_0 = (a b^T)_0 and b^T (c d^T)_0 = 0 mod 4,
       so (a b^T)_0 enters mod 4 and (c d^T)_0 drops out.
 
-    Entries are reduced mod 8 before the int64 cast, so nothing overflows
-    however large M is.  Raises NotLevel2 unless M = I mod 2.
+    So with every entry read mod 8, both quantities are quadratic forms in the
+    bits p, q, and each is F times a coefficient column:
+
+    * num = p.(b^T d).p + q.(a^T c).q - 2 (a b^T)_0.p, the phase numerator mod
+      8: d p = p mod 2 and (a b^T)_0 is even, so 2 (a b^T)_0.(d p) = 2 (a b^T)_0.p
+      mod 8.  Column [b^T d, a^T c, 0, -2 (a b^T)_0].
+    * t = 2 p.(n'' - q) with n'' = b^T p + d^T q - (a b^T)_0 mod 4.  n'' - q is
+      even, 2 delta'' mod 4, so t = 4 (p.delta'') = 4 s mod 8, and s = (t mod 8)/4.
+      Expanded, t = 2 p.b^T.p + 2 p.(d^T - I).q - 2 (a b^T)_0.p: column
+      [2 b^T, 0, 2 (d^T - I), -2 (a b^T)_0].
+
+    Then (t, num) = F C for the two-column C, and k = 4 s - num = t - num mod 8,
+    where the (a b^T)_0 terms cancel.  Entries are reduced mod 8 before the
+    int64 cast, so every coefficient is below 64 g in size and nothing
+    overflows however large M is.  Raises NotLevel2 unless M = I mod 2.
     """
     g = mat.g
     m8 = (mat.entries % 8).astype(np.int64)
-    if not congruent_to_identity(m8, 2):
+    eye = np.eye(2 * g, dtype=np.int64)
+    if ((m8 - eye) & 1).any():
         raise NotLevel2("matrix not congruent to I mod 2")
-    p, q = bits[:, :g], bits[:, g:]
     a, b, c, d = _blocks(m8)
-    ab0 = (a * b).sum(1)                                # (a b^T)_0
-    num = ((p @ (b.T @ d)) * p).sum(1) + ((q @ (a.T @ c)) * q).sum(1) - 2 * (p @ ab0)
-    n2 = p @ b + q @ d - ab0                            # n'' mod 4
-    s = (p * ((n2 - q) // 2)).sum(1) % 2
-    return (4 * s - num) % 8, s
+    ab0 = -2 * (a * b).sum(1)
+    zero = 0 * b
+    t = np.concatenate((2 * b.T, zero, 2 * (d - eye[g:, g:]).T, ab0), axis=None)
+    num = np.concatenate((b.T @ d, a.T @ c, zero, ab0), axis=None)
+    t, num = (monomials @ np.stack((t, num), 1)).T
+    return (t - num) % 8, t % 8 // 4
 
 
 def _chi_table(mat: SymplecticMatrix) -> tuple:
@@ -161,7 +183,7 @@ def _chi_table(mat: SymplecticMatrix) -> tuple:
     2 gets none, so every request on it raises NotLevel2."""
     table = vars(mat).get("_chi_table")
     if table is None:
-        k, s = _chi_rows(mat, _mod2_table(mat.g)[1])
+        k, s = _chi_rows(mat, _monomial_table(mat.g))
         k.setflags(write=False)
         s.setflags(write=False)
         table = vars(mat)["_chi_table"] = k, s, tuple(_ROOTS[x] for x in k.tolist())
@@ -384,5 +406,5 @@ def is_chi_constant_over_even(mat: SymplecticMatrix) -> bool:
     membership of M up to sign in the mod-4, diagonal-mod-8 subgroup, see
     is_igusa48_up_to_sign.
     """
-    values = set(chi_even_values(mat).values())
-    return len(values) == 1
+    ks = _chi_table(mat)[0].take(_mod2_table(mat.g)[2])
+    return bool((ks == ks[0]).all())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeMismatch, _check_degree
-from .symplectic import SymplecticMatrix
+from .symplectic import SymplecticMatrix, _half_diagonals, _mat_vec
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,24 @@ def _mod2_table(g: int) -> tuple:
     return chars, bits, tuple(k for k, m in enumerate(chars) if is_even(m))
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_table(g: int) -> np.ndarray:
+    """The read-only 4^g x (3g^2 + g) int64 matrix F = [p x p | q x q | p x q | p]
+    of the binary characteristics (p, q) = (m', m'') in enumerate_mod2 order:
+    column i g + j of each outer-product block holds the bit product x_i y_j.
+    A quadratic form in p and q with no linear q term is F times its
+    coefficient column; see character._chi_rows."""
+    bits = _mod2_table(g)[1]
+    p, q = bits[:, :g], bits[:, g:]
+
+    def outer(x, y):
+        return (x[:, :, None] * y[:, None, :]).reshape(len(bits), g * g)
+
+    table = np.hstack((outer(p, p), outer(q, q), outer(p, q), p))
+    table.setflags(write=False)
+    return table
+
+
 def enumerate_mod2(g: int) -> list:
     """All 4^g representatives in {0,1}^(2g), lexicographic by (m', m''),
     as a fresh list."""
@@ -95,23 +113,19 @@ def enumerate_even_mod2(g: int) -> list:
     return [chars[k] for k in even]
 
 
-def _halves(m: Characteristic) -> tuple:
-    """m' and m'' as object vectors of Python ints."""
-    return (np.array([int(x) for x in m.m_prime], dtype=object),
-            np.array([int(x) for x in m.m_double], dtype=object))
-
-
 def act(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
     """Affine action: (d m' - c m'' + (c d^T)_0, -b m' + a m'' + (a b^T)_0).
 
-    Exact over the integers; mod 2 it is a group action.
+    Exact over the integers; mod 2 it is a group action.  One mat-vec gives
+    M (m'', -m') = (a m'' - b m', c m'' - d m'), both halves up to sign.
     """
     _check_degree(mat, m)
-    mp, mpp = _halves(m)
-    top = mat.d @ mp - mat.c @ mpp + mat.cd_diag()
-    bot = -mat.b @ mp + mat.a @ mpp + mat.ab_diag()
-    return Characteristic(g=m.g, m_prime=tuple(int(x) for x in top),
-                          m_double=tuple(int(x) for x in bot))
+    rows = mat.entries.tolist()
+    u = _mat_vec(rows, [int(x) for x in m.m_double] + [-int(x) for x in m.m_prime])
+    diag = _half_diagonals(rows)
+    g = m.g
+    return Characteristic(g=g, m_prime=tuple(z - x for x, z in zip(u[g:], diag[g:])),
+                          m_double=tuple(x + z for x, z in zip(u[:g], diag[:g])))
 
 
 def shift(m: Characteristic, n: Characteristic) -> Characteristic:

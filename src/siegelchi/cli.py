@@ -281,9 +281,13 @@ def _suite_numeric(config: RunConfig) -> dict:
                + [_product_trial(config, _rng(config, "Cp", t)) for t in range(n_prod)])
     failures = sum(1 for r in results if not r["passed"])
     deviations = [r.get("max_deviation", 0.0) for r in results]
-    return {"character_trials": n_char, "product_trials": n_prod,
-            "failures": failures, "max_deviation": max(deviations, default=0.0),
-            "passed": failures == 0}
+    out = {"character_trials": n_char, "product_trials": n_prod,
+           "failures": failures, "max_deviation": max(deviations, default=0.0),
+           "passed": failures == 0}
+    errors = [r["error"] for r in results if "error" in r]
+    if errors:
+        out["errors"] = errors
+    return out
 
 
 def _pool_element(config: RunConfig, t: int) -> SymplecticMatrix:

@@ -66,12 +66,32 @@ def _blocks(mat: np.ndarray) -> tuple:
 def congruent_to_igusa48(entries: np.ndarray) -> bool:
     """entries = I mod 4 with the diagonals of a b^T and c d^T divisible by 8.
 
-    Works on any even-dimension integer array, symplectic or not.
+    All three conditions read entries mod 8 only, so they are int64 tests on
+    that residue.  Works on any even-dimension integer array, symplectic or not.
     """
-    a, b, c, d = _blocks(entries)
-    return (congruent_to_identity(entries, 4)
-            and bool(((a @ b.T).diagonal() % 8 == 0).all())
-            and bool(((c @ d.T).diagonal() % 8 == 0).all()))
+    m8 = (entries % 8).astype(np.int64)
+    a, b, c, d = _blocks(m8)
+    return not (((m8 - np.eye(len(m8), dtype=np.int64)) % 4).any()
+                or ((a * b).sum(1) % 8).any() or ((c * d).sum(1) % 8).any())
+
+
+def _dot(x: Iterable, y: Iterable) -> int:
+    """Exact dot product of two sequences of Python ints."""
+    return sum(map(operator.mul, x, y))
+
+
+def _mat_vec(rows: list, v: Sequence) -> list:
+    """rows @ v in exact Python ints, for rows a list of int rows such as
+    entries.tolist()."""
+    return [_dot(row, v) for row in rows]
+
+
+def _half_diagonals(rows: list) -> list:
+    """Each row's left half dotted with its right half: (a b^T)_0 followed by
+    (c d^T)_0 for the 2g int rows of a (2g, 2g) matrix, (a b^T)_0 alone for
+    its first g rows."""
+    g = len(rows[0]) // 2
+    return [_dot(row[:g], row[g:]) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +120,6 @@ class SymplecticMatrix:
     @property
     def d(self) -> np.ndarray:
         return self.entries[self.g :, self.g :]
-
-    def ab_diag(self) -> np.ndarray:
-        """(a b^T)_0 as an object column vector."""
-        return (self.a @ self.b.T).diagonal()
-
-    def cd_diag(self) -> np.ndarray:
-        """(c d^T)_0 as an object column vector."""
-        return (self.c @ self.d.T).diagonal()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticMatrix):
@@ -236,29 +248,34 @@ def _generator_power(kind: str, i: int, j: int, g: int, e: int) -> SymplecticMat
     return word_to_matrix(GeneratorWord(g=g, letters=((kind, i, j, e),)))
 
 
-def _right_multiply(out: np.ndarray, kind: str, i: int, j: int, e: int):
-    """out <- out @ generator(kind, i, j)**e in place, by column updates on the
-    (2g, 2g) object array out; i and j are 1-based and already checked.
+def _right_multiply(rows: list, kind: str, i: int, j: int, e: int):
+    """rows <- rows @ generator(kind, i, j)**e in place, by column updates on the
+    2g rows, lists of Python ints, of the running product; i and j are 1-based
+    and already checked.
 
-    Column l of out @ (I + x E_kl) is column l plus x times column k.  B(i, j)^e
+    Column l of rows @ (I + x E_kl) is column l plus x times column k.  B(i, j)^e
     = I + 2e (E_i,g+j + E_j,g+i), as its upper block squares to 0, and C(i, j)^e
     is its transpose.  For i != j, E_ij^2 = 0 makes A(i, j)^e = diag(I + 2e E_ij,
     I - 2e E_ji).  A(i, i) = diag(D, D), D = I - 2 E_ii an involution, so its e-th
     power negates columns i and g+i for odd e.  No update reads a column another
     writes, so their order does not matter; for i = j, B and C add once.
     """
-    g = out.shape[0] // 2
+    g = len(rows) // 2
     i, j, x = i - 1, j - 1, 2 * e
     if kind != "A":
         src, dst = (0, g) if kind == "B" else (g, 0)
-        out[:, dst + j] += x * out[:, src + i]
+        for row in rows:
+            row[dst + j] += x * row[src + i]
         if i != j:
-            out[:, dst + i] += x * out[:, src + j]
+            for row in rows:
+                row[dst + i] += x * row[src + j]
     elif i != j:
-        out[:, j] += x * out[:, i]
-        out[:, g + i] -= x * out[:, g + j]
+        for row in rows:
+            row[j] += x * row[i]
+            row[g + i] -= x * row[g + j]
     elif e % 2:
-        out[:, [i, g + i]] *= -1
+        for row in rows:
+            row[i], row[g + i] = -row[i], -row[g + i]
 
 
 @dataclass(frozen=True)
@@ -288,11 +305,15 @@ def word(g: int, letters: Iterable[Sequence]) -> GeneratorWord:
 
 
 def word_to_matrix(w: GeneratorWord) -> SymplecticMatrix:
-    """Product of the word's letters, by column updates; lands in the level-2 group."""
-    out = _identity(2 * w.g)
+    """Product of the word's letters, by column updates on rows of Python ints
+    made into one object array at the end; lands in the level-2 group."""
+    n = 2 * w.g
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        rows[r][r] = 1
     for kind, i, j, e in w.letters:
-        _right_multiply(out, kind, i, j, e)
-    return SymplecticMatrix(g=w.g, entries=out)
+        _right_multiply(rows, kind, i, j, e)
+    return SymplecticMatrix(g=w.g, entries=np.array(rows, dtype=object))
 
 
 def alphabet(g: int) -> list:
@@ -328,22 +349,23 @@ def commutator(m1: SymplecticMatrix, m2: SymplecticMatrix) -> SymplecticMatrix:
 def random_igusa48(g: int, seed: int) -> SymplecticMatrix:
     """Random element of the mod-4, diagonal-mod-8 subgroup.
 
-    Built as a product of commutators of random level-2 words, fourth powers
-    of B/C generators and squares of A generators; the membership predicate
-    is asserted on the result.
+    Built as one word: commutators w1 w2 w1^-1 w2^-1 of random level-2 words,
+    then fourth powers of B/C generators and squares of A generators; the
+    membership predicate is asserted on the result.
     """
     return _random_igusa48(g, random.Random(seed))
 
 
 def _random_igusa48(g: int, rng: random.Random) -> SymplecticMatrix:
-    out = identity(g)
+    letters = []
     for _ in range(rng.randint(1, 3)):
-        w1 = word_to_matrix(_random_word(g, rng.randint(1, 4), rng))
-        w2 = word_to_matrix(_random_word(g, rng.randint(1, 4), rng))
-        out = multiply(out, commutator(w1, w2))
+        w1 = _random_word(g, rng.randint(1, 4), rng).letters
+        w2 = _random_word(g, rng.randint(1, 4), rng).letters
+        # w1 w2 w1^-1 w2^-1, the last two as the word (w2 w1)^-1
+        letters += [*w1, *w2, *((k, i, j, -e) for k, i, j, e in reversed(w2 + w1))]
     for _ in range(rng.randint(0, 3)):
         kind, i, j = rng.choice(alphabet(g))
-        power = 2 if kind == "A" else 4
-        out = multiply(out, _generator_power(kind, i, j, g, power))
+        letters.append((kind, i, j, 2 if kind == "A" else 4))
+    out = word_to_matrix(GeneratorWord(g=g, letters=letters))
     assert is_igusa48(out), "construction must land in the subgroup"
     return out

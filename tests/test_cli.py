@@ -326,6 +326,7 @@ def test_numeric_trial_below_the_floor_is_a_failure(capsys, monkeypatch):
     assert (numeric["character_trials"], numeric["product_trials"]) == (2, 1)
     assert numeric["failures"] == 1 and numeric["passed"] is False
     assert numeric["max_deviation"] < DEFAULT_TOL   # the character trials still ran
+    assert numeric["errors"] == ["only 1 theta constants above the floor"]
 
 
 def test_verify_rejects_bad_config(capsys):

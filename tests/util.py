@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: samplers for the full symplectic group
 (beyond the level-2 alphabet), random upper-half-space points, a
-product-per-letter reference for word_to_matrix, the exact per-characteristic
-reference for the character (preimage, delta, shift sign), and a direct
-high-precision box sum for theta constants."""
+product-per-letter reference for word_to_matrix, object-array transcriptions
+of the exact layer (words, the action, the phases, Igusa membership and the
+commutator-product sampler), the exact per-characteristic reference for the
+character (preimage, delta, shift sign), and a direct high-precision box sum
+for theta constants."""
 
 import itertools
 import math
@@ -11,11 +13,13 @@ import random
 import mpmath
 import numpy as np
 
-from siegelchi import (Characteristic, SiegelChiError, SiegelPoint, act,
-                       identity, make_matrix, matrix_power, multiply,
-                       phase_level2, random_word, word_to_matrix)
-from siegelchi.characteristics import _halves
+from siegelchi import (Characteristic, NotLevel2, PhaseValue, SiegelChiError,
+                       SiegelPoint, SymplecticMatrix, commutator, identity,
+                       is_level2, make_matrix, matrix_power, multiply,
+                       random_word, word_to_matrix)
 from siegelchi.errors import _check_degree
+from siegelchi.symplectic import (_blocks, _generator_power, _random_word,
+                                  alphabet, congruent_to_identity)
 
 
 def generator_reference(kind, i, j, g):
@@ -41,6 +45,103 @@ def word_to_matrix_reference(w):
     out = identity(w.g)
     for kind, i, j, e in w.letters:
         out = multiply(out, matrix_power(generator_reference(kind, i, j, w.g), e))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Object-array transcriptions of the exact layer
+# ---------------------------------------------------------------------------
+
+def halves(m):
+    """m' and m'' as object vectors of Python ints."""
+    return (np.array([int(x) for x in m.m_prime], dtype=object),
+            np.array([int(x) for x in m.m_double], dtype=object))
+
+
+def ab_diag(mat):
+    """(a b^T)_0 as an object vector."""
+    return (mat.a @ mat.b.T).diagonal()
+
+
+def cd_diag(mat):
+    """(c d^T)_0 as an object vector."""
+    return (mat.c @ mat.d.T).diagonal()
+
+
+def word_to_matrix_objects(w):
+    """The word's matrix by the same column updates as word_to_matrix, applied
+    with numpy slices to one (2g, 2g) object array."""
+    g = w.g
+    out = np.eye(2 * g, dtype=object)
+    for kind, i, j, e in w.letters:
+        i, j, x = i - 1, j - 1, 2 * e
+        if kind != "A":
+            src, dst = (0, g) if kind == "B" else (g, 0)
+            out[:, dst + j] += x * out[:, src + i]
+            if i != j:
+                out[:, dst + i] += x * out[:, src + j]
+        elif i != j:
+            out[:, j] += x * out[:, i]
+            out[:, g + i] -= x * out[:, g + j]
+        elif e % 2:
+            out[:, [i, g + i]] *= -1
+    return SymplecticMatrix(g=g, entries=out)
+
+
+def act_reference(mat, m):
+    """(d m' - c m'' + (c d^T)_0, -b m' + a m'' + (a b^T)_0) in object matmuls."""
+    _check_degree(mat, m)
+    mp, mpp = halves(m)
+    top = mat.d @ mp - mat.c @ mpp + cd_diag(mat)
+    bot = -mat.b @ mp + mat.a @ mpp + ab_diag(mat)
+    return Characteristic(g=m.g, m_prime=tuple(int(x) for x in top),
+                          m_double=tuple(int(x) for x in bot))
+
+
+def phase_full_reference(m, mat):
+    """-1/8 ( m'.(b^T d).m' + m''.(a^T c).m'' - 2 m'.(b^T c).m''
+    - 2 (a b^T)_0 . (d m' - c m'') ) in object matmuls."""
+    _check_degree(m, mat)
+    mp, mpp = halves(m)
+    num = (mp @ (mat.b.T @ mat.d) @ mp
+           + mpp @ (mat.a.T @ mat.c) @ mpp
+           - 2 * (mp @ (mat.b.T @ mat.c) @ mpp)
+           - 2 * (ab_diag(mat) @ (mat.d @ mp - mat.c @ mpp)))
+    return PhaseValue(raw_numerator=int(num))
+
+
+def phase_level2_reference(m, mat):
+    """The level-2 phase -1/8 ( m'.(b^T d).m' + m''.(a^T c).m''
+    - 2 (a b^T)_0.(d m') ) in object matmuls."""
+    _check_degree(m, mat)
+    if not is_level2(mat):
+        raise NotLevel2("matrix not congruent to I mod 2")
+    mp, mpp = halves(m)
+    num = (mp @ (mat.b.T @ mat.d) @ mp
+           + mpp @ (mat.a.T @ mat.c) @ mpp
+           - 2 * (ab_diag(mat) @ (mat.d @ mp)))
+    return PhaseValue(raw_numerator=int(num))
+
+
+def congruent_to_igusa48_reference(entries):
+    """entries = I mod 4 and 8 | (a b^T)_0, (c d^T)_0, on the exact entries."""
+    a, b, c, d = _blocks(entries)
+    return (congruent_to_identity(entries, 4)
+            and bool(((a @ b.T).diagonal() % 8 == 0).all())
+            and bool(((c @ d.T).diagonal() % 8 == 0).all()))
+
+
+def random_igusa48_reference(g, rng):
+    """The subgroup sampler as a product of commutator matrices and generator
+    powers, drawing from rng in the same order as symplectic._random_igusa48."""
+    out = identity(g)
+    for _ in range(rng.randint(1, 3)):
+        w1 = word_to_matrix(_random_word(g, rng.randint(1, 4), rng))
+        w2 = word_to_matrix(_random_word(g, rng.randint(1, 4), rng))
+        out = multiply(out, commutator(w1, w2))
+    for _ in range(rng.randint(0, 3)):
+        kind, i, j = rng.choice(alphabet(g))
+        out = multiply(out, _generator_power(kind, i, j, g, 2 if kind == "A" else 4))
     return out
 
 
@@ -121,13 +222,13 @@ class ParityMismatch(SiegelChiError):
 def solve_preimage(mat, m):
     """The unique n with act(mat, n) == m, by the closed block-transpose form."""
     _check_degree(mat, m)
-    mp, mpp = _halves(m)
-    cd0, ab0 = mat.cd_diag(), mat.ab_diag()
+    mp, mpp = halves(m)
+    cd0, ab0 = cd_diag(mat), ab_diag(mat)
     top = mat.a.T @ mp + mat.c.T @ mpp - mat.a.T @ cd0 - mat.c.T @ ab0
     bot = mat.b.T @ mp + mat.d.T @ mpp - mat.b.T @ cd0 - mat.d.T @ ab0
     n = Characteristic(g=m.g, m_prime=tuple(int(x) for x in top),
                        m_double=tuple(int(x) for x in bot))
-    assert act(mat, n) == m, "closed-form preimage must invert the action"
+    assert act_reference(mat, n) == m, "closed-form preimage must invert the action"
     return n
 
 
@@ -151,7 +252,7 @@ def chi_reference(m, mat):
     """(k, s) of chi(m, mat) on exact integers, with nothing reduced: the
     level-2 phase plus 4 s, s = m'.delta'' mod 2 from the exact preimage."""
     s = sign_shift_exponent(m, delta(m, solve_preimage(mat, m)))
-    return (phase_level2(m, mat).eighths + 4 * s) % 8, s
+    return (phase_level2_reference(m, mat).eighths + 4 * s) % 8, s
 
 
 # ---------------------------------------------------------------------------
