@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InterpolationInconsistent, NotLevel2, _check_degree
 from .characteristics import Characteristic, _mod2_table, _monomial_table
 from .symplectic import (GeneratorWord, SymplecticMatrix, _blocks, _check_indices,
-                         _dot, _half_diagonals, _mat_vec, is_level2)
+                         _dot, _half_diagonals, _mat_vec, congruent_to_identity, is_level2)
 
 _SYMBOLS = ("1", "ζ8", "i", "iζ8", "-1", "-ζ8", "-i", "-iζ8")
 
@@ -157,19 +157,18 @@ def _chi_rows(mat: SymplecticMatrix, monomials: np.ndarray) -> tuple:
       [2 b^T, 0, 2 (d^T - I), -2 (a b^T)_0].
 
     Then (t, num) = F C for the two-column C, and k = 4 s - num = t - num mod 8,
-    where the (a b^T)_0 terms cancel.  Entries are reduced mod 8 before the
-    int64 cast, so every coefficient is below 64 g in size and nothing
-    overflows however large M is.  Raises NotLevel2 unless M = I mod 2.
+    where the (a b^T)_0 terms cancel.  C is read off the matrix's one residue
+    mat._m8, so every coefficient is below 64 g in size and nothing overflows
+    however large M is.  Raises NotLevel2 unless M = I mod 2.
     """
     g = mat.g
-    m8 = (mat.entries % 8).astype(np.int64)
-    eye = np.eye(2 * g, dtype=np.int64)
-    if ((m8 - eye) & 1).any():
+    if not congruent_to_identity(mat._m8, 2):
         raise NotLevel2("matrix not congruent to I mod 2")
-    a, b, c, d = _blocks(m8)
+    a, b, c, d = _blocks(mat._m8)
     ab0 = -2 * (a * b).sum(1)
     zero = 0 * b
-    t = np.concatenate((2 * b.T, zero, 2 * (d - eye[g:, g:]).T, ab0), axis=None)
+    t = np.concatenate((2 * b.T, zero, 2 * d.T, ab0), axis=None)
+    t[2 * g * g:3 * g * g:g + 1] -= 2           # the diagonal of 2 (d^T - I)
     num = np.concatenate((b.T @ d, a.T @ c, zero, ab0), axis=None)
     t, num = (monomials @ np.stack((t, num), 1)).T
     return (t - num) % 8, t % 8 // 4

@@ -28,7 +28,7 @@ from .character import (EighthRoot, PhaseValue, chi, chi_exponents,
                         extract_abelian_exponents, is_chi_constant_over_even,
                         phase_full, phase_level2)
 from .symplectic import (SymplecticMatrix, _generator_power, _int_matrix,
-                         _random_igusa48, _random_word, alphabet,
+                         _random_igusa48, _random_word, _residue8, alphabet,
                          congruent_to_identity, congruent_to_igusa48, generator,
                          is_igusa48, is_igusa48_up_to_sign, make_matrix,
                          multiply, random_word, word_to_matrix)
@@ -180,10 +180,11 @@ def cmd_member(args) -> int:
         sp = True
     except NotSymplectic:
         sp = False
+    m8 = _residue8(raw)
     payload = {"sp": sp,
-               "level2": congruent_to_identity(raw, 2),
-               "level4": congruent_to_identity(raw, 4),
-               "igusa48": congruent_to_igusa48(raw)}
+               "level2": congruent_to_identity(m8, 2),
+               "level4": congruent_to_identity(m8, 4),
+               "igusa48": congruent_to_igusa48(m8)}
     _emit_json(payload, args.output)
     return EXIT_OK
 

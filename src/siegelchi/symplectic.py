@@ -13,6 +13,7 @@ under them and the generators are symplectic by construction.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -51,10 +52,18 @@ def _identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=object)
 
 
-def congruent_to_identity(entries: np.ndarray, modulus: int) -> bool:
-    """True when every entry of (entries - I) is divisible by modulus."""
-    n = entries.shape[0]
-    return bool(((entries - _identity(n)) % modulus == 0).all())
+def _residue8(entries) -> np.ndarray:
+    """M mod 8 as read-only int64, reduced before the cast so nothing overflows."""
+    m8 = (entries % 8).astype(np.int64)
+    m8.setflags(write=False)
+    return m8
+
+
+def congruent_to_identity(m8: np.ndarray, modulus: int) -> bool:
+    """M = I mod modulus, for m8 = M mod 8 and modulus dividing 8: r = m8 mod
+    modulus is I when its diagonal is all 1 and it has no other nonzero entry."""
+    r = m8 % modulus
+    return bool(np.count_nonzero(r) == len(r) == np.count_nonzero(r.diagonal() == 1))
 
 
 def _blocks(mat: np.ndarray) -> tuple:
@@ -63,16 +72,13 @@ def _blocks(mat: np.ndarray) -> tuple:
     return mat[:g, :g], mat[:g, g:], mat[g:, :g], mat[g:, g:]
 
 
-def congruent_to_igusa48(entries: np.ndarray) -> bool:
-    """entries = I mod 4 with the diagonals of a b^T and c d^T divisible by 8.
-
-    All three conditions read entries mod 8 only, so they are int64 tests on
-    that residue.  Works on any even-dimension integer array, symplectic or not.
-    """
-    m8 = (entries % 8).astype(np.int64)
+def congruent_to_igusa48(m8: np.ndarray) -> bool:
+    """M = I mod 4 with the diagonals of a b^T and c d^T divisible by 8, for m8
+    any int64 array = M mod 8 (such as -(-M mod 8)), M of even dimension and
+    symplectic or not: all three conditions read M mod 8 only."""
     a, b, c, d = _blocks(m8)
-    return not (((m8 - np.eye(len(m8), dtype=np.int64)) % 4).any()
-                or ((a * b).sum(1) % 8).any() or ((c * d).sum(1) % 8).any())
+    return congruent_to_identity(m8, 4) and not (
+        ((a * b).sum(1) % 8).any() or ((c * d).sum(1) % 8).any())
 
 
 def _dot(x: Iterable, y: Iterable) -> int:
@@ -97,7 +103,7 @@ def _half_diagonals(rows: list) -> list:
 @dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
     """Element of the degree-g integral symplectic group; see make_matrix.
-    Immutable, entries included, so character._chi_table caches on it."""
+    Immutable, entries included, so _m8 and character._chi_table cache on it."""
 
     g: int
     entries: np.ndarray
@@ -120,6 +126,12 @@ class SymplecticMatrix:
     @property
     def d(self) -> np.ndarray:
         return self.entries[self.g :, self.g :]
+
+    @functools.cached_property
+    def _m8(self) -> np.ndarray:
+        """M mod 8, the one residue every congruence test and the chi kernel
+        read.  Kept in the instance dict, not a field: eq, hash, repr ignore it."""
+        return _residue8(self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticMatrix):
@@ -196,17 +208,17 @@ def matrix_power(m: SymplecticMatrix, k: int) -> SymplecticMatrix:
 
 def is_level2(m: SymplecticMatrix) -> bool:
     """M = I mod 2."""
-    return congruent_to_identity(m.entries, 2)
+    return congruent_to_identity(m._m8, 2)
 
 
 def is_level4(m: SymplecticMatrix) -> bool:
     """M = I mod 4."""
-    return congruent_to_identity(m.entries, 4)
+    return congruent_to_identity(m._m8, 4)
 
 
 def is_igusa48(m: SymplecticMatrix) -> bool:
     """M = I mod 4 with the diagonals of a b^T and c d^T divisible by 8."""
-    return congruent_to_igusa48(m.entries)
+    return congruent_to_igusa48(m._m8)
 
 
 def is_igusa48_up_to_sign(m: SymplecticMatrix) -> bool:
@@ -216,7 +228,7 @@ def is_igusa48_up_to_sign(m: SymplecticMatrix) -> bool:
     on even characteristics, so this is the exact membership detected by
     constancy of the character over even classes.
     """
-    return is_igusa48(m) or congruent_to_igusa48(-m.entries)
+    return is_igusa48(m) or congruent_to_igusa48(-m._m8)
 
 
 # ---------------------------------------------------------------------------

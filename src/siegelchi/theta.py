@@ -99,7 +99,7 @@ def truncation_radius(m: Characteristic, point: SiegelPoint, tail_tol: float) ->
     Gamma(s, x) the upper incomplete gamma function.  B does not depend on
     the coset, nor on m at all: m is kept in the signature for
     benchmarks/workloads.py, which calls this once per characteristic, until
-    that benchmark is next changed (ROADMAP item 4).
+    that benchmark is next changed (ROADMAP item 5).
 
     R solves ln B(R) = ln(tail_tol * THETA_FLOOR) by Newton steps in
     x = rho^2 (R - 1/2)^2 >= g/2, and is then stepped up until B(R) <= the
@@ -426,7 +426,9 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     for a, b in [(m, n)] + [(a, b) for s, a in enumerate(keys) for b in keys[s:]]:
         pairs.setdefault(frozenset((a, b)), (a, b))
     labels = list(pairs.values())
+    k = {a: chis[a.mod2()] for a in keys}
+    roots = [EighthRoot(x).value for x in range(8)]
     ratios = [(moved_values[a] * moved_values[b])
-              / (det * values[a] * values[b] * EighthRoot(chis[a.mod2()] + chis[b.mod2()]).value)
+              / (det * values[a] * values[b] * roots[(k[a] + k[b]) % 8])
               for a, b in labels]
     return _assemble_report(labels, ratios, tol, unit_power=4)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,22 @@ def test_cached_row_leaves_eq_hash_and_repr_alone():
     assert [f.name for f in dataclasses.fields(Characteristic)] == ["g", "m_prime", "m_double"]
 
 
+def test_cached_residue_is_read_only_and_leaves_eq_hash_and_repr_alone():
+    w = word(3, [("B", 1, 2, 2**70), ("C", 3, 3, -3), ("A", 2, 1, 5)])
+    mat, fresh = word_to_matrix(w), word_to_matrix(w)
+    assert max(abs(x) for x in mat.entries.flat) >= 2**63
+    is_igusa48(mat)  # reads the residue before any chi table exists
+    m8 = vars(mat)["_m8"]
+    assert mat._m8 is m8 and m8.dtype == np.int64 and not m8.flags.writeable
+    assert m8.tolist() == (mat.entries % 8).tolist()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mat._m8 = m8
+    assert "_m8" not in vars(fresh)
+    assert mat == fresh and hash(mat) == hash(fresh) and repr(mat) == repr(fresh)
+    assert chi_exponents(mat).tolist() == chi_exponents(fresh).tolist()
+    assert [f.name for f in dataclasses.fields(type(mat))] == ["g", "entries"]
+
+
 def test_chi_is_multiplicative():
     rng = seeded(32)
     for g in (1, 2, 3):
@@ -267,7 +284,7 @@ def test_kernel_invariant_under_gamma8(g, seed, length, data):
     letters = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((-4, 4))),
                                  min_size=1, max_size=4))
     k8 = word_to_matrix(word(g, [(*letter, e) for letter, e in letters]))
-    assert congruent_to_identity(k8.entries, 8)
+    assert congruent_to_identity(k8._m8, 8)
     mat = word_to_matrix(random_word(g, length, seed))
     moved = multiply(mat, k8)
     extra = data.draw(st.lists(characteristics(g), max_size=6))

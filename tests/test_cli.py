@@ -183,6 +183,7 @@ def test_member_non_symplectic(tmp_path, capsys):
 @pytest.mark.parametrize("entries, payload", [
     (NOT_SP["m"], {"sp": False, "level2": False, "level4": False, "igusa48": False}),
     ([[1, 8], [8, 1]], {"sp": False, "level2": True, "level4": True, "igusa48": True}),
+    ([[1 + 2**70, 8], [8, 1]], {"sp": False, "level2": True, "level4": True, "igusa48": True}),
 ])
 def test_member_non_symplectic_payload(tmp_path, capsys, entries, payload):
     path = write(tmp_path, "m.json", {"g": 1, "m": entries})
