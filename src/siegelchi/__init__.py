@@ -1,6 +1,8 @@
 """siegelchi: exact characters of the level-2 symplectic congruence group,
 cross-checked against numerically truncated theta constants."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (BadShape, DegreeMismatch, IndexOutOfRange,
                      InterpolationInconsistent, NonPositiveTolerance,
                      NotLevel2, NotSymplectic, NotUpperHalfSpace,
@@ -25,4 +27,5 @@ from .theta import (DEFAULT_TAIL_TOL, DEFAULT_TOL, THETA_FLOOR, SiegelPoint,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()     # the submodules are bound by import, not exported
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -95,9 +95,9 @@ def _phase_terms(m: Characteristic, mat: SymplecticMatrix) -> tuple:
     mat-vecs of the entries' int rows with (0, m') and (m'', 0)."""
     g = m.g
     rows = mat.entries.tolist()
-    zero = [0] * g
-    bd = _mat_vec(rows, zero + [int(x) for x in m.m_prime])
-    ac = _mat_vec(rows, [int(x) for x in m.m_double] + zero)
+    zero = (0,) * g
+    bd = _mat_vec(rows, zero + m.m_prime)
+    ac = _mat_vec(rows, m.m_double + zero)
     return bd[:g], bd[g:], ac[:g], ac[g:], _half_diagonals(rows[:g])
 
 

@@ -14,19 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeMismatch, _check_degree
-from .symplectic import SymplecticMatrix, _half_diagonals, _mat_vec
+from .errors import BadShape, DegreeMismatch, _check_degree
+from .symplectic import SymplecticMatrix, _half_diagonals, _int_entry, _mat_vec
 
 
 @dataclass(frozen=True)
 class Characteristic:
-    """Integer vector in Z^(2g), stored as the two halves."""
+    """Integer vector in Z^(2g), stored as the two halves, each a tuple of
+    Python ints: entries are taken as make_matrix takes them, so a float or a
+    bool raises BadShape rather than being truncated or read as 0 and 1."""
 
     g: int
     m_prime: tuple
     m_double: tuple
 
     def __post_init__(self):
+        try:
+            for name in ("m_prime", "m_double"):
+                object.__setattr__(self, name, tuple(map(_int_entry, getattr(self, name))))
+        except TypeError as exc:
+            raise BadShape(f"characteristic entries must be integers: {exc}") from exc
         if len(self.m_prime) != self.g or len(self.m_double) != self.g:
             raise DegreeMismatch(
                 f"halves must have length g={self.g}, got "
@@ -34,11 +41,11 @@ class Characteristic:
 
     @classmethod
     def from_vector(cls, vec) -> "Characteristic":
-        vec = [int(x) for x in vec]
+        vec = list(vec)
         if len(vec) % 2 != 0 or not vec:
             raise DegreeMismatch(f"characteristic vector must have even length, got {len(vec)}")
         g = len(vec) // 2
-        return cls(g=g, m_prime=tuple(vec[:g]), m_double=tuple(vec[g:]))
+        return cls(g=g, m_prime=vec[:g], m_double=vec[g:])
 
     def vector(self) -> tuple:
         return self.m_prime + self.m_double
@@ -121,7 +128,7 @@ def act(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
     """
     _check_degree(mat, m)
     rows = mat.entries.tolist()
-    u = _mat_vec(rows, [int(x) for x in m.m_double] + [-int(x) for x in m.m_prime])
+    u = _mat_vec(rows, m.m_double + tuple(-x for x in m.m_prime))
     diag = _half_diagonals(rows)
     g = m.g
     return Characteristic(g=g, m_prime=tuple(z - x for x, z in zip(u[g:], diag[g:])),

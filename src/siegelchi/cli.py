@@ -112,7 +112,7 @@ def _load_matrix(path: str) -> SymplecticMatrix:
 
 def _parse_characteristic(text: str, mat: SymplecticMatrix) -> Characteristic:
     try:
-        m = Characteristic.from_vector(text.split(","))
+        m = Characteristic.from_vector([int(x) for x in text.split(",")])
         _check_degree(m, mat)
     except (ValueError, DegreeMismatch) as exc:
         raise BadShape(f"characteristic must be 2g comma-separated integers: {exc}") from exc

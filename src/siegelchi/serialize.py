@@ -48,7 +48,7 @@ def word_from_dict(data: dict) -> GeneratorWord:
 
 
 def characteristic_to_list(m: Characteristic) -> list:
-    return [int(x) for x in m.vector()]
+    return list(m.vector())
 
 
 def characteristic_from_list(data) -> Characteristic:

@@ -13,7 +13,6 @@ under them and the generators are symplectic by construction.
 
 from __future__ import annotations
 
-import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -127,11 +126,17 @@ class SymplecticMatrix:
     def d(self) -> np.ndarray:
         return self.entries[self.g :, self.g :]
 
-    @functools.cached_property
+    @property
     def _m8(self) -> np.ndarray:
         """M mod 8, the one residue every congruence test and the chi kernel
-        read.  Kept in the instance dict, not a field: eq, hash, repr ignore it."""
-        return _residue8(self.entries)
+        read.  Built on the first read and kept in the instance dict under
+        "_mod8", not a field: eq, hash, repr ignore it.  Not a
+        functools.cached_property, whose first read on Python 3.11 takes a lock
+        shared by every instance."""
+        m8 = vars(self).get("_mod8")
+        if m8 is None:
+            m8 = vars(self)["_mod8"] = _residue8(self.entries)
+        return m8
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticMatrix):

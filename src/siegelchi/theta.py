@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,13 +33,15 @@ _COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])   # cos(pi k / 2)
 
 @dataclass(frozen=True, eq=False)
 class SiegelPoint:
-    """Symmetric complex g x g matrix with positive-definite imaginary part."""
+    """Symmetric complex g x g tau, Im(tau) > 0 with least eigenvalue im_min_eig."""
 
     g: int
     tau: np.ndarray
 
     def __post_init__(self):
         self.tau.setflags(write=False)
+        y = self.tau.imag
+        object.__setattr__(self, "im_min_eig", float(np.linalg.eigvalsh((y + y.T) / 2.0)[0]))
 
     @classmethod
     def make(cls, tau) -> "SiegelPoint":
@@ -58,11 +59,6 @@ class SiegelPoint:
         if point.im_min_eig <= 0.0:
             raise NotUpperHalfSpace("Im(tau) is not positive definite")
         return point
-
-    @cached_property
-    def im_min_eig(self) -> float:
-        y = self.tau.imag
-        return float(np.linalg.eigvalsh((y + y.T) / 2.0)[0])
 
     def __repr__(self):
         return f"SiegelPoint(g={self.g}, tau={self.tau.tolist()})"
@@ -166,9 +162,9 @@ def _quad(a: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _half_lattice(y: np.ndarray, rho2: np.ndarray):
     """Yield one n of each pair +-n of nonzero points of Z^g with q = n.y.n <=
-    rho2[c], c the coset n mod 2 read as binary digits with n_0 first, in
-    blocks (n, q) of about _BLOCK points at most, n as float columns.  The n
-    kept is the one whose last nonzero coordinate is positive.
+    rho2[coset of cls], in blocks (n, q, cls) of about _BLOCK points at most,
+    n as float columns and cls its class mod 4, both indices as in
+    _class_tables.  The n kept is the one whose last nonzero coordinate is positive.
 
     With y = U^T U, U upper triangular, n.y.n = sum_i U_ii^2 (n_i - c_i)^2 and
     c_i = -sum_{j>i} U_ij n_j / U_ii: coordinates are fixed from the last to
@@ -183,35 +179,34 @@ def _half_lattice(y: np.ndarray, rho2: np.ndarray):
     per = max(1, _BLOCK // (2 * int(math.sqrt(rest[0]) / u[0, 0]) + 2))
     for i in range(len(y) - 1, 0, -1):
         cols, rest = _extend(u, i, cols, rest, 0.0)
-    bits = 1 << np.arange(len(y) - 1, -1, -1)
+    _, weights, class_coset = _class_tables(len(y))
     for a in range(0, cols.shape[1], per):
         n, _ = _extend(u, 0, cols[:, a:a + per], rest[a:a + per], 1.0)
         q = _quad(y, n)
-        keep = q <= rho2[bits @ (n.astype(np.int64) & 1)]
-        yield n.compress(keep, axis=1), q[keep]
+        cls = weights @ (n.astype(np.int64) & 3)
+        keep = q <= rho2[class_coset[cls]]
+        yield n.compress(keep, axis=1), q[keep], cls[keep]
 
 
 @lru_cache(maxsize=None)
 def _class_tables(g: int) -> tuple:
-    """The 4^g classes of n mod 4 as columns in class order, the weight of
-    each binary digit (n_0 first), and the coset n mod 2 of each class."""
+    """The 4^g classes of n mod 4 as columns in class order, the weight of each
+    base-4 digit (n_0 first), and each class's coset n mod 2 in binary digits."""
     classes = np.indices((4,) * g).reshape(g, -1)
     bits = 1 << np.arange(g - 1, -1, -1)
-    tables = classes, bits, bits @ (classes & 1)
+    tables = classes, bits * bits, bits @ (classes & 1)
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL,
-                    radius: float | None = None) -> list:
+def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL) -> list:
     """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
     one per characteristic in chars, in order, from one lattice pass.
 
     Every coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
     the ellipsoid v.Y.v <= lam R^2: Y = Im(tau) with smallest eigenvalue lam,
-    R the given radius or else truncation_radius, which is the same for
-    every coset and so is found once per call.
+    R = truncation_radius, the same for every coset and so found once per call.
     With n = 2v, the coset is the set of n in Z^g with n = m' mod 2, and
     v.Y.v = n.(Y/4).n bit for bit, as scaling by a power of two is exact.
 
@@ -228,28 +223,27 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
     g = point.g
     for m in chars:
         _check_degree(m, point)
-    classes, bits, class_coset = _class_tables(g)
+    classes, weights, class_coset = _class_tables(g)
     x = np.array([[v % 4 for v in m.vector()] for m in chars], dtype=np.int64)
-    coset = (x[:, :g] & 1) @ bits
-    r = radius if radius is not None else truncation_radius(chars[0], point, tail_tol)
+    coset = class_coset[x[:, :g] @ weights]
+    r = truncation_radius(chars[0], point, tail_tol)
     rho2 = np.full(2 ** g, -1.0)                # cosets no characteristic asks for stay empty
     rho2[coset] = point.im_min_eig * r * r
     phase = _COS_QUARTER[(x[:, g:] @ classes) % 4]
     phase[coset[:, None] != class_coset] = 0.0  # classes of other cosets
     sums = np.zeros(4 ** g, dtype=complex)
-    for n, q in _half_lattice(point.tau.imag / 4.0, rho2):
+    for n, q, cls in _half_lattice(point.tau.imag / 4.0, rho2):
         size = np.exp(-math.pi * q)
         turn = math.pi * _quad(point.tau.real / 4.0, n)
-        cls = (bits * bits) @ (n.astype(np.int64) & 3)
         sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
         sums += 1j * np.bincount(cls, size * np.sin(turn), 4 ** g)
     return (phase[:, 0] + 2.0 * (phase @ sums)).tolist()
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint,
-                   tail_tol: float = DEFAULT_TAIL_TOL, radius: float | None = None) -> complex:
+                   tail_tol: float = DEFAULT_TAIL_TOL) -> complex:
     """The theta constant at one characteristic; see theta_constants."""
-    return theta_constants([m], point, tail_tol, radius)[0]
+    return theta_constants([m], point, tail_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +304,14 @@ def _max_deviation(ratios, centre: complex) -> float:
     does, and every pair that could reach the maximum is compared.
 
     With rho_i = |r_i - centre|, |r_i - r_j| <= rho_i + rho_j.  Rows are
-    taken in order of decreasing rho_i; row i compares only the j with
-    rho_i + rho_j + slack >= best, the maximum so far, and the sweep stops at
-    the first i with 2 rho_i + slack < best.  A difference of two floats is
+    taken in order of decreasing rho_i, each compared with every row, and the
+    sweep stops at the first i with 2 rho_i + slack < best, the maximum so
+    far, past which no pair can reach it.  A difference of two floats is
     rounded once, so each computed rho and |r_i - r_j| is within a few 2^-53
     of its value, relative; slack = 1e-9 max rho covers that, as after the
     first row best is about max rho at least when the centre, the mean, lies
-    in the hull of the r.  Sorting and bisection stay in Python: numpy's sort
-    and search code would add its pages to the peak memory of a CLI run.
+    in the hull of the r.  Sorting stays in Python: numpy's sort code would
+    add its pages to the peak memory of a CLI run.
     """
     r = np.array(ratios)
     d = r - centre
@@ -325,13 +319,11 @@ def _max_deviation(ratios, centre: complex) -> float:
     if not all(map(math.isfinite, rho)):        # nothing to order by: every row
         return float(max(np.hypot(d.real, d.imag).max() for d in (r - x for x in r)))
     order = sorted(range(len(rho)), key=rho.__getitem__, reverse=True)
-    r, rho = r.take(order), [rho[i] for i in order]
-    falling = [-x for x in rho]                 # ascending, for bisect
-    slack, best = 1e-9 * rho[0], 0.0
-    for i, x in enumerate(r):
+    slack, best = 1e-9 * rho[order[0]], 0.0
+    for i in order:
         if 2.0 * rho[i] + slack < best:
             break
-        d = r[:bisect_right(falling, rho[i] + slack - best)] - x
+        d = r - r[i]
         best = max(best, np.hypot(d.real, d.imag).max())
     return float(best)
 

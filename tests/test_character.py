@@ -196,12 +196,12 @@ def test_cached_residue_is_read_only_and_leaves_eq_hash_and_repr_alone():
     mat, fresh = word_to_matrix(w), word_to_matrix(w)
     assert max(abs(x) for x in mat.entries.flat) >= 2**63
     is_igusa48(mat)  # reads the residue before any chi table exists
-    m8 = vars(mat)["_m8"]
+    m8 = vars(mat)["_mod8"]
     assert mat._m8 is m8 and m8.dtype == np.int64 and not m8.flags.writeable
     assert m8.tolist() == (mat.entries % 8).tolist()
     with pytest.raises(dataclasses.FrozenInstanceError):
         mat._m8 = m8
-    assert "_m8" not in vars(fresh)
+    assert "_mod8" not in vars(fresh)
     assert mat == fresh and hash(mat) == hash(fresh) and repr(mat) == repr(fresh)
     assert chi_exponents(mat).tolist() == chi_exponents(fresh).tolist()
     assert [f.name for f in dataclasses.fields(type(mat))] == ["g", "entries"]

@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (Characteristic, DegreeMismatch, act,
+from siegelchi import (BadShape, Characteristic, DegreeMismatch, act,
                        characteristic, enumerate_even_mod2,
                        enumerate_mod2, generator,
                        is_even, multiply, random_word,
@@ -38,6 +39,19 @@ def test_from_vector_validation():
         Characteristic.from_vector([])
     with pytest.raises(DegreeMismatch):
         Characteristic(g=2, m_prime=(1,), m_double=(0, 0))
+
+
+def test_entries_are_python_ints():
+    # A float or a bool is refused, not truncated or read as a bit, whichever
+    # way the characteristic is built; any integer sequence is stored as a
+    # tuple of Python ints, so equal characteristics hash alike.
+    for make in (lambda: characteristic(1.7, 0), lambda: characteristic(True, 0),
+                 lambda: Characteristic(1, (0.5,), (1,))):
+        with pytest.raises(BadShape):
+            make()
+    m = Characteristic(1, [1], [0])
+    assert m.m_prime == (1,) and hash(m) == hash(characteristic(1, 0))
+    assert type(Characteristic.from_vector(np.arange(2)).m_prime[0]) is int
 
 
 def test_enumerate_even_counts():

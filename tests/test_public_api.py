@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,15 @@ def test_benchmark_names_are_exported():
         names = set(re.findall(r"\bsc\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
         assert "chi" in names and "verify_character" in names, path
         assert sorted(names - set(siegelchi.__all__)) == [], path
+
+
+def test_star_import_binds_no_module():
+    # Importing the submodules binds them in the package; __all__ leaves them out.
+    namespace = {}
+    exec("from siegelchi import *", namespace)
+    public = {name: value for name, value in namespace.items() if not name.startswith("__")}
+    assert public.keys() == set(siegelchi.__all__)
+    assert not [name for name, value in public.items() if isinstance(value, types.ModuleType)]
 
 
 def _env():

@@ -98,6 +98,13 @@ def test_odd_characteristic_vanishes():
                 assert abs(theta_constant(m, point)) < 2e-12
 
 
+def theta_at_radius(chars, point, r):
+    """theta_constants summed over the ellipsoid of radius r in place of
+    truncation_radius's."""
+    with mock.patch.object(theta, "truncation_radius", return_value=r):
+        return theta_constants(chars, point)
+
+
 def test_truncation_radius_doubling():
     rng = seeded(62)
     for g in (1, 2):
@@ -105,14 +112,12 @@ def test_truncation_radius_doubling():
             point = random_tau(g, rng)
             m = Characteristic.from_vector([rng.randint(-1, 1) for _ in range(2 * g)])
             r = truncation_radius(m, point, 1e-12)
-            a = theta_constant(m, point, radius=r)
-            b = theta_constant(m, point, radius=2 * r)
-            assert abs(a - b) < 1e-12
+            b = theta_at_radius([m], point, 2 * r)[0]
+            assert abs(theta_constant(m, point) - b) < 1e-12
 
 
 def test_truncation_radius_once_per_call(monkeypatch):
-    # One R serves every coset, so a call asks for it once, and a given radius
-    # asks for none; R does not depend on m.
+    # One R serves every coset, so a call asks for it once; R does not depend on m.
     calls = []
     radius = theta.truncation_radius
     monkeypatch.setattr(theta, "truncation_radius",
@@ -120,8 +125,6 @@ def test_truncation_radius_once_per_call(monkeypatch):
     wide = [characteristic(3, 0, 1, 1), characteristic(-4, 1, 0, 2), characteristic(1, 2, 1, 0)]
     point = random_tau(2, seeded(66))
     theta_constants(enumerate_mod2(2) + wide, point)
-    assert len(calls) == 1
-    theta_constants(enumerate_mod2(2), point, radius=3)
     assert len(calls) == 1
     assert all(radius(m, point, 1e-12) == radius(wide[0], point, 1e-12) for m in wide)
 
@@ -150,7 +153,7 @@ def test_truncation_error_is_within_the_tail_bound(g, seed):
     chars = enumerate_mod2(g)
     refs = theta_box(chars, point.tau)
     low = 0.5 + math.sqrt(g / 2) / math.sqrt(math.pi * lam)
-    runs = [(low * f, theta_constants(chars, point, radius=low * f)) for f in (1.0, 1.1, 1.3, 1.6)]
+    runs = [(low * f, theta_at_radius(chars, point, low * f)) for f in (1.0, 1.1, 1.3, 1.6)]
     for tail_tol in (1e4, 1.0, 1e-4, 1e-8):
         r = truncation_radius(chars[0], point, tail_tol)
         assert tail_bound(g, lam, r) <= tail_tol * THETA_FLOOR * (1 + 1e-12)
@@ -206,7 +209,8 @@ _radii = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0))
 def test_lattice_is_the_ellipsoid(case):
     # Coset `bits` (n = bits mod 2, n = 2v) gets radius rho2, every other coset
     # `other` (-1: empty).  The blocks must hold one of each pair +-n != 0 of
-    # the brute-force box filter, by the same bits of n.(y/4).n, 0 never.
+    # the brute-force box filter, by the same bits of n.(y/4).n, 0 never, each
+    # with its class n mod 4 and that class's coset within its cut.
     entries, boost, bits, rho2, other, cap = case
     g = len(bits)
     a = np.array(entries).reshape(g, g)
@@ -215,8 +219,14 @@ def test_lattice_is_the_ellipsoid(case):
     cuts[int("".join(map(str, bits)), 2)] = rho2
     with mock.patch.object(theta, "_BLOCK", cap):
         blocks = list(theta._half_lattice(y, cuts))
-    assert all(n.shape[1] <= cap and np.array_equal(q, theta._quad(y, n)) for n, q in blocks)
-    half = [tuple(col) for n, _ in blocks for col in n.T.tolist()]
+    assert all(n.shape[1] <= cap and np.array_equal(q, theta._quad(y, n)) for n, q, _ in blocks)
+    class_coset = theta._class_tables(g)[2]
+    for n, q, cls in blocks:
+        for col, qq, k in zip(n.T.tolist(), q.tolist(), cls.tolist()):
+            assert k == int("".join(str(int(x) % 4) for x in col), 4)
+            coset = int("".join(str(int(x) % 2) for x in col), 2)
+            assert class_coset[k] == coset and qq <= cuts[coset]
+    half = [tuple(col) for n, _, _ in blocks for col in n.T.tolist()]
     assert len(half) == len(set(half))
     assert all([x for x in col if x][-1] > 0 for col in half)      # so 0 is never listed
     mirror = {tuple(-x for x in col) for col in half}
@@ -543,6 +553,10 @@ def test_max_deviation_is_the_pairwise_maximum(ratios):
     + [-1 + 3e-10 * k - 1e-9j * k for k in range(25)],              # two clusters
     [1 + 1e-12 * k - 3e-13j * k for k in range(50)] + [1 + 1e-6j],  # one outlier
     [1.2j, -1, 1] + [0] * 20,           # the widest pair avoids the point farthest out
+    [5, -5, 5j, -5j] + [complex(a * x, b * y) for a in (1, -1) for b in (1, -1)
+                        for x, y in ((3, 4), (4, 3))],  # a ring, every rho 5: every row visited
+    [cmath.exp(2j * math.pi * k / 666) for k in range(666)],      # 666 labels, as a g = 3
+    [complex(*z) for z in np.random.default_rng(666).normal(size=(666, 2)).tolist()],  # product
 ])
 def test_max_deviation_prunes_exactly(ratios):
     report = _assemble_report(list(range(len(ratios))), ratios, DEFAULT_TOL)
