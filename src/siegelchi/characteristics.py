@@ -18,6 +18,21 @@ from .errors import BadShape, DegreeMismatch, _check_degree
 from .symplectic import SymplecticMatrix, _half_diagonals, _int_entry, _mat_vec
 
 
+class _ModTwoRow:
+    """Characteristic._row: the index of m mod 2 in enumerate_mod2 order, its
+    bits, most significant first.  Built on the first read and kept in the
+    instance dict under the same name, where every later read finds it first,
+    as this descriptor has no __set__; not a field, so eq, hash and repr ignore
+    it.  Not a functools.cached_property, whose first read on Python 3.11
+    takes a lock shared by every instance."""
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        row = vars(m)["_row"] = sum((x % 2) << k for k, x in enumerate(reversed(m.vector())))
+        return row
+
+
 @dataclass(frozen=True)
 class Characteristic:
     """Integer vector in Z^(2g), stored as the two halves, each a tuple of
@@ -50,17 +65,21 @@ class Characteristic:
     def vector(self) -> tuple:
         return self.m_prime + self.m_double
 
-    @functools.cached_property
-    def _row(self) -> int:
-        """Index of self mod 2 in enumerate_mod2 order: its bits, most significant
-        first.  Kept in the instance dict, not a field: eq, hash, repr ignore it."""
-        return sum((x % 2) << k for k, x in enumerate(reversed(self.vector())))
+    @classmethod
+    def _of_ints(cls, g: int, m_prime: tuple, m_double: tuple) -> "Characteristic":
+        """The characteristic with these halves, already tuples of g Python ints,
+        without __post_init__: for constructions whose entries are ints by
+        construction.  Input from users goes through the checked constructor."""
+        m = object.__new__(cls)
+        for name, value in (("g", g), ("m_prime", m_prime), ("m_double", m_double)):
+            object.__setattr__(m, name, value)      # as __init__ does: a key-sharing dict
+        return m
+
+    _row = _ModTwoRow()
 
     def mod2(self) -> "Characteristic":
-        return Characteristic(
-            g=self.g,
-            m_prime=tuple(x % 2 for x in self.m_prime),
-            m_double=tuple(x % 2 for x in self.m_double))
+        return Characteristic._of_ints(self.g, tuple(x % 2 for x in self.m_prime),
+                                       tuple(x % 2 for x in self.m_double))
 
     def __repr__(self):
         return f"Characteristic({list(self.vector())})"
@@ -80,7 +99,7 @@ def _mod2_table(g: int) -> tuple:
     """The 4^g binary characteristics in enumerate_mod2 order, their bits as a
     read-only (4^g x 2g) int64 matrix, and the indices of the even ones.  All
     three are immutable, so each g builds them once."""
-    chars = tuple(Characteristic(g=g, m_prime=bits[:g], m_double=bits[g:])
+    chars = tuple(Characteristic._of_ints(g, bits[:g], bits[g:])
                   for bits in itertools.product((0, 1), repeat=2 * g))
     bits = np.array([m.vector() for m in chars], dtype=np.int64)
     bits.setflags(write=False)
@@ -131,12 +150,12 @@ def act(mat: SymplecticMatrix, m: Characteristic) -> Characteristic:
     u = _mat_vec(rows, m.m_double + tuple(-x for x in m.m_prime))
     diag = _half_diagonals(rows)
     g = m.g
-    return Characteristic(g=g, m_prime=tuple(z - x for x, z in zip(u[g:], diag[g:])),
-                          m_double=tuple(x + z for x, z in zip(u[:g], diag[:g])))
+    return Characteristic._of_ints(g, tuple(z - x for x, z in zip(u[g:], diag[g:])),
+                                   tuple(x + z for x, z in zip(u[:g], diag[:g])))
 
 
 def shift(m: Characteristic, n: Characteristic) -> Characteristic:
     """m + 2n, exact."""
     _check_degree(m, n)
-    return Characteristic.from_vector(
-        [a + 2 * b for a, b in zip(m.vector(), n.vector())])
+    return Characteristic._of_ints(m.g, tuple(a + 2 * b for a, b in zip(m.m_prime, n.m_prime)),
+                                   tuple(a + 2 * b for a, b in zip(m.m_double, n.m_double)))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (NonPositiveTolerance, NotUpperHalfSpace, SingularFactor,
                      TooFewUsable, _check_degree)
-from .characteristics import Characteristic, act, is_even
-from .character import EighthRoot, chi_even_values, phase_full
+from .characteristics import Characteristic, act, enumerate_even_mod2, is_even
+from .character import EighthRoot, _chi_table, phase_full
 from .symplectic import SymplecticMatrix
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -29,6 +29,7 @@ SYMMETRY_TOL = 1e-12
 COND_LIMIT = 1e12
 _BLOCK = 1 << 12          # most lattice points held in one array
 _COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])   # cos(pi k / 2)
+_ROOT_VALUES = tuple(EighthRoot(k).value for k in range(8))   # exp(2 pi i k / 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,52 +141,97 @@ def _log_upper_gamma(s: float, x: float) -> float:
     return math.log(scaled) - x
 
 
-def _extend(u: np.ndarray, i: int, cols: np.ndarray, rest: np.ndarray, low: float):
-    """Prefix each column with each n_i in Z within `rest`, n_i >= low on an
-    all-zero column; return columns, radius left."""
+def _extend(u: np.ndarray, i: int, cols: np.ndarray, rest: np.ndarray, low):
+    """Each n_i in Z with U_ii^2 (n_i - c_i)^2 <= rest for each column of the
+    later coordinates, n_i >= low on column 0 unless low is None: column 0 is
+    the all-zero one wherever a block holds it.  Returns n_i, the index of its
+    column and each column's centre c_i."""
     centre = -(u[i, i + 1:] @ cols) / u[i, i]
     width = np.sqrt(np.maximum(rest, 0.0)) / u[i, i]
     lo = np.ceil(centre - width)
-    lo = np.where(cols.any(0), lo, np.maximum(lo, low))
+    if low is not None:
+        lo[0] = max(lo[0], low)
     count = np.maximum(np.floor(centre + width) - lo + 1.0, 0.0).astype(np.intp)
     pick = np.repeat(np.arange(len(lo)), count)
-    ni = (lo + count - np.cumsum(count))[pick] + np.arange(pick.size)
-    return (np.vstack([ni, cols.take(pick, axis=1)]),
-            rest[pick] - (u[i, i] * (ni - centre[pick])) ** 2)
+    return (lo + count - np.cumsum(count))[pick] + np.arange(pick.size), pick, centre
+
+
+def _pair_sum(pair: np.ndarray, i: int, later: np.ndarray) -> np.ndarray:
+    """l_i = sum_{j>i} (a_ij + a_ji) n_j, pair = a + a^T, later = n_{i+1..},
+    summed from j = i + 1 up."""
+    return sum(pair[i, j] * n for j, n in enumerate(later, i + 1))
 
 
 def _quad(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """n.a.n for each column of n, in elementwise steps only, so that a point
-    gets the same bits in whatever block it falls."""
-    return sum(n[i] * sum(a[i, j] * n[j] for j in range(len(a))) for i in range(len(a)))
+    """n.a.n for each column of n, from the last coordinate to the first:
+    z_i = (a_ii n_i + l_i) n_i + z_{i+1} with l_i = _pair_sum, the form
+    _half_lattice builds from its partial sums.  Every step is elementwise,
+    and a complex times an integer-valued float, like a complex sum, rounds
+    each part once, as the real operations would; so a point gets the same
+    bits in whatever block it falls, and the same here as in _half_lattice."""
+    pair = a + a.T
+    z = a[-1, -1] * n[-1] * n[-1]
+    for i in range(len(a) - 2, -1, -1):
+        z = (a[i, i] * n[i] + _pair_sum(pair, i, n[i + 1:])) * n[i] + z
+    return z
 
 
-def _half_lattice(y: np.ndarray, rho2: np.ndarray):
-    """Yield one n of each pair +-n of nonzero points of Z^g with q = n.y.n <=
-    rho2[coset of cls], in blocks (n, q, cls) of about _BLOCK points at most,
-    n as float columns and cls its class mod 4, both indices as in
-    _class_tables.  The n kept is the one whose last nonzero coordinate is positive.
+def _half_lattice(t: np.ndarray, rho2: np.ndarray):
+    """Yield one n of each pair +-n of nonzero points of Z^g with Im z <=
+    rho2[coset of cls], z = n.t.n, in blocks (n, z, cls) of about _BLOCK
+    points at most, n as float columns and cls its class mod 4, both indices
+    as in _class_tables.  The n kept is the one whose last nonzero coordinate
+    is positive.
 
-    With y = U^T U, U upper triangular, n.y.n = sum_i U_ii^2 (n_i - c_i)^2 and
-    c_i = -sum_{j>i} U_ij n_j / U_ii: coordinates are fixed from the last to
-    the first within the radius the later ones leave (Fincke & Pohst, Math.
-    Comp. 44, 1985; Deconinck et al., Math. Comp. 73, 2004), n_i >= 0 while
-    the later ones are all zero.  Bounds use max(rho2) enlarged by 1e-9 and
-    each block is cut by q itself, so rounding in U neither drops nor adds a
-    point.
+    With y = Im t = U^T U, U upper triangular, n.y.n = sum_i U_ii^2 (n_i -
+    c_i)^2 and c_i = -sum_{j>i} U_ij n_j / U_ii: coordinates are fixed from
+    the last to the first within the radius the later ones leave (Fincke &
+    Pohst, Math. Comp. 44, 1985; Deconinck et al., Math. Comp. 73, 2004), n_i
+    >= 0 while the later ones are all zero.  The bounds of the last one, from
+    the single empty column, are Python scalars.  Bounds use max(rho2)
+    enlarged by 1e-9 and each block is cut by Im z itself, so rounding in U
+    neither drops nor adds a point.
+
+    z and cls are partial sums: a column of n_{i+1..} with form z' and class
+    k' gets, for each n_i, z = (t_ii n_i + l_i) n_i + z' and class
+    4^(g-1-i) (n_i mod 4) + k', with l_i = _pair_sum formed once per column.
+    This is _quad step by step, so z = _quad(t, n) bit for bit.
     """
+    g = len(t)
+    k = g - 1
+    y = t.imag
     u = np.linalg.cholesky((y + y.T) / 2.0).T
-    cols, rest = np.zeros((0, 1)), np.array([rho2.max() * (1.0 + 1e-9)])
-    per = max(1, _BLOCK // (2 * int(math.sqrt(rest[0]) / u[0, 0]) + 2))
-    for i in range(len(y) - 1, 0, -1):
-        cols, rest = _extend(u, i, cols, rest, 0.0)
-    _, weights, class_coset = _class_tables(len(y))
+    pair = t + t.T
+    _, weights, class_coset = _class_tables(g)
+    cut = rho2[class_coset]
+    top = rho2.max() * (1.0 + 1e-9)
+    ni = np.arange(float(k == 0), math.floor(math.sqrt(top) / u[k, k]) + 1.0)
+    cols, z, cls = ni[None], t[k, k] * ni * ni, ni.astype(np.int64) & 3
+    if k == 0:
+        keep = z.imag <= cut[cls]
+        yield cols[:, keep], z[keep], cls[keep]
+        return
+    rest = top - (u[k, k] * ni) ** 2
+    for i in range(k - 1, 0, -1):
+        ni, pick, centre = _extend(u, i, cols, rest, 0.0)
+        rest = rest[pick] - (u[i, i] * (ni - centre[pick])) ** 2
+        z = (t[i, i] * ni + _pair_sum(pair, i, cols)[pick]) * ni + z[pick]
+        cls = weights[i] * (ni.astype(np.int64) & 3) + cls[pick]
+        cols = np.concatenate((ni[None], cols.take(pick, axis=1)))
+    ell = _pair_sum(pair, 0, cols)
+    per = max(1, _BLOCK // (2 * int(math.sqrt(top) / u[0, 0]) + 2))
     for a in range(0, cols.shape[1], per):
-        n, _ = _extend(u, 0, cols[:, a:a + per], rest[a:a + per], 1.0)
-        q = _quad(y, n)
-        cls = weights @ (n.astype(np.int64) & 3)
-        keep = q <= rho2[class_coset[cls]]
-        yield n.compress(keep, axis=1), q[keep], cls[keep]
+        b = slice(a, a + per)
+        ni, pick, _ = _extend(u, 0, cols[:, b], rest[b], 1.0 if a == 0 else None)
+        zb = (t[0, 0] * ni + ell[b][pick]) * ni + z[b][pick]
+        kb = weights[0] * (ni.astype(np.int64) & 3) + cls[b][pick]
+        n = np.concatenate((ni[None], cols[:, b].take(pick, axis=1)))
+        keep = zb.imag <= cut[kb]
+        if keep.all():                          # every coset asked for, none on its edge
+            yield n, zb, kb
+        else:
+            keep = np.flatnonzero(keep)
+            yield n.take(keep, axis=1), zb.take(keep), kb.take(keep)
 
 
 @lru_cache(maxsize=None)
@@ -200,44 +246,72 @@ def _class_tables(g: int) -> tuple:
     return tables
 
 
+def _char_tables(chars) -> tuple:
+    """(coset, phase) of characteristics of one degree: the coset m' mod 2 of
+    each in binary digits, and in each row the factor cos(pi n.m'' / 2) of
+    every class n mod 4 of that coset, 0 at the classes of other cosets.  Both
+    see the entries mod 4 only, read with & 3 from one flat list."""
+    g = chars[0].g
+    classes, weights, class_coset = _class_tables(g)
+    x = np.array([v & 3 for m in chars for v in m.vector()]).reshape(len(chars), 2 * g)
+    coset = class_coset[x[:, :g] @ weights]
+    phase = _COS_QUARTER[(x[:, g:] @ classes) & 3]
+    phase[coset[:, None] != class_coset] = 0.0
+    return coset, phase
+
+
+@lru_cache(maxsize=None)
+def _even_tables(g: int) -> tuple:
+    """_char_tables of enumerate_even_mod2(g), read-only: the rows every
+    verify_character and verify_igusa_product sweep at tau starts from."""
+    tables = _char_tables(enumerate_even_mod2(g))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _theta_values(coset: np.ndarray, phase: np.ndarray, point: SiegelPoint,
+                  tail_tol: float) -> list:
+    """The theta constants of the characteristics whose rows of _char_tables
+    are (coset, phase), in order, from one lattice pass; see theta_constants."""
+    g = point.g
+    r = truncation_radius(None, point, tail_tol)
+    rho2 = np.full(2 ** g, -1.0)                # cosets no characteristic asks for stay empty
+    rho2[coset] = point.im_min_eig * r * r
+    sums = np.zeros(4 ** g, dtype=complex)
+    for _, z, cls in _half_lattice(point.tau / 4.0, rho2):
+        size = np.exp(-math.pi * z.imag)
+        turn = math.pi * z.real
+        sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
+        sums += 1j * np.bincount(cls, size * np.sin(turn), 4 ** g)
+    return (phase[:, 0] + 2.0 * (phase @ sums)).tolist()
+
+
 def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL) -> list:
     """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
-    one per characteristic in chars, in order, from one lattice pass.
+    one per characteristic in chars, in order, from one lattice pass:
+    _char_tables, then _theta_values.
 
     Every coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
     the ellipsoid v.Y.v <= lam R^2: Y = Im(tau) with smallest eigenvalue lam,
     R = truncation_radius, the same for every coset and so found once per call.
     With n = 2v, the coset is the set of n in Z^g with n = m' mod 2, and
-    v.Y.v = n.(Y/4).n bit for bit, as scaling by a power of two is exact.
+    v.tau.v = n.(tau/4).n: tau/4 is exact, as scaling by a power of two is,
+    and the enumerator forms z = n.(tau/4).n once per point, Im z for the cut
+    and the modulus, Re z for the turn.
 
-    n -> -n maps a coset to itself, keeps n.(Y/4).n and conjugates
-    exp(pi i v.m'') = i^(n.m''), so a pair +-n adds 2 exp(-pi n.(Y/4).n)
-    exp(pi i n.X.n / 4) cos(pi n.m'' / 2), X = Re(tau), with the exact
-    cos(pi k / 2) = [1, 0, -1, 0][k mod 4], and n = 0 adds 1 to coset 0.
-    Cosine and coset see n mod 4 only, so terms are first summed per class of
-    n mod 4, and every m'' (non-binary ones too) is read from the 4^g class
-    sums by one product.  The summation order is fixed.
+    n -> -n maps a coset to itself, keeps z and conjugates exp(pi i v.m'') =
+    i^(n.m''), so a pair +-n adds 2 exp(-pi Im z) exp(pi i Re z) cos(pi n.m''
+    / 2), with the exact cos(pi k / 2) = [1, 0, -1, 0][k mod 4], and n = 0
+    adds 1 to coset 0.  Cosine and coset see n mod 4 only, so terms are first
+    summed per class of n mod 4, and every m'' (non-binary ones too) is read
+    from the 4^g class sums by one product.  The summation order is fixed.
     """
     if not chars:
         return []
-    g = point.g
     for m in chars:
         _check_degree(m, point)
-    classes, weights, class_coset = _class_tables(g)
-    x = np.array([[v % 4 for v in m.vector()] for m in chars], dtype=np.int64)
-    coset = class_coset[x[:, :g] @ weights]
-    r = truncation_radius(chars[0], point, tail_tol)
-    rho2 = np.full(2 ** g, -1.0)                # cosets no characteristic asks for stay empty
-    rho2[coset] = point.im_min_eig * r * r
-    phase = _COS_QUARTER[(x[:, g:] @ classes) % 4]
-    phase[coset[:, None] != class_coset] = 0.0  # classes of other cosets
-    sums = np.zeros(4 ** g, dtype=complex)
-    for n, q, cls in _half_lattice(point.tau.imag / 4.0, rho2):
-        size = np.exp(-math.pi * q)
-        turn = math.pi * _quad(point.tau.real / 4.0, n)
-        sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
-        sums += 1j * np.bincount(cls, size * np.sin(turn), 4 ** g)
-    return (phase[:, 0] + 2.0 * (phase @ sums)).tolist()
+    return _theta_values(*_char_tables(chars), point, tail_tol)
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint,
@@ -252,14 +326,22 @@ def theta_constant(m: Characteristic, point: SiegelPoint,
 
 def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
     """(M tau, det(c tau + d)) from one c tau + d, checked once for
-    conditioning; M tau = (a tau + b)(c tau + d)^-1, re-symmetrized and
-    revalidated."""
+    conditioning; M tau = (a tau + b)(c tau + d)^-1, re-symmetrized, which
+    makes it exactly symmetric, and checked to be finite with Im(M tau)
+    positive definite (NotUpperHalfSpace)."""
     _check_degree(mat, point)
-    den = mat.c.astype(float) @ point.tau + mat.d.astype(float)
+    g, e = point.g, mat.entries.astype(float)
+    den = e[g:, :g] @ point.tau + e[g:, g:]
     if np.linalg.cond(den) > COND_LIMIT:
         raise SingularFactor("c tau + d is numerically singular")
-    out = (mat.a.astype(float) @ point.tau + mat.b.astype(float)) @ np.linalg.inv(den)
-    return SiegelPoint.make((out + out.T) / 2.0), complex(np.linalg.det(den))
+    out = (e[:g, :g] @ point.tau + e[:g, g:]) @ np.linalg.inv(den)
+    out = (out + out.T) / 2.0
+    if not np.isfinite(out).all():
+        raise NotUpperHalfSpace("M tau has a non-finite entry")
+    moved = SiegelPoint(g=g, tau=out)
+    if moved.im_min_eig <= 0.0:
+        raise NotUpperHalfSpace("Im(M tau) is not positive definite")
+    return moved, complex(np.linalg.det(den))
 
 
 def mobius(mat: SymplecticMatrix, point: SiegelPoint) -> SiegelPoint:
@@ -340,27 +422,38 @@ def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationRe
 
 
 def _sweep(mat: SymplecticMatrix, point: SiegelPoint, chars: list, tail_tol: float,
-           needed=(), image=lambda m: m) -> tuple:
-    """The body of every verification sweep.  After the degree check, keep the
-    characteristics whose theta constant at tau clears THETA_FLOOR; raise
-    TooFewUsable unless two of chars and all of needed do (needed ones outside
-    chars are summed but not counted); then form M tau and det(c tau + d) once
-    (SingularFactor) and sum theta at M tau over image(m) for each kept m.
-    Returns the kept m, their theta at tau, those at M tau, and the det.
+           table=None, needed=(), image=None) -> tuple:
+    """The body of every verification sweep.  After the degree checks, sum
+    theta at tau over chars, whose rows of _char_tables are table when given,
+    and over the characteristics of needed not in chars, appended to them;
+    keep the indices whose value clears THETA_FLOOR; raise TooFewUsable unless
+    two of chars and all of needed are kept (needed ones outside chars are
+    summed but not counted); then form M tau and det(c tau + d) once
+    (SingularFactor) and sum theta at M tau over the kept rows of the same
+    table, or over the table of image(m) for each kept m when image is given.
+    Returns chars with the extras, the kept indices, their theta at tau,
+    those at M tau, and the det.
     """
     _check_degree(mat, point)           # before any theta work, as for the level-2 check
-    extra = [m for m in dict.fromkeys(needed) if m not in chars]
-    chars = chars + extra
-    usable = [(m, val) for m, val in zip(chars, theta_constants(chars, point, tail_tol))
-              if abs(val) > THETA_FLOOR]
-    count = sum(m not in extra for m, _ in usable)
+    counted = len(chars)
+    chars = chars + [m for m in dict.fromkeys(needed) if m not in chars]
+    vals = []
+    if chars:
+        if table is None or len(chars) > counted:   # chars from a caller, or extras
+            for m in chars:
+                _check_degree(m, point)
+            table = _char_tables(chars)
+        vals = _theta_values(*table, point, tail_tol)
+    kept = [i for i, val in enumerate(vals) if abs(val) > THETA_FLOOR]
+    count = sum(i < counted for i in kept)
     if count < 2:
         raise TooFewUsable(f"only {count} theta constants above the floor")
-    labels, vals = map(list, zip(*usable))
-    if not set(needed) <= set(labels):
+    if any(chars.index(m) not in kept for m in needed):
         raise TooFewUsable("requested characteristic below the theta floor")
     moved, det = _transform(mat, point)
-    return labels, vals, theta_constants([image(m) for m in labels], moved, tail_tol), det
+    moved_table = (tuple(x[kept] for x in table) if image is None
+                   else _char_tables([image(chars[i]) for i in kept]))
+    return chars, kept, [vals[i] for i in kept], _theta_values(*moved_table, moved, tail_tol), det
 
 
 def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
@@ -372,10 +465,12 @@ def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
     matrix; it is never compared against a predicted value, only tested for
     unit modulus and trivial eighth power.
     """
-    chis = chi_even_values(mat)         # raises NotLevel2 before any theta work
-    labels, vals, tops, det = _sweep(mat, point, list(chis), tail_tol)
+    ks = _chi_table(mat)[0].tolist()    # raises NotLevel2 before any theta work
+    chars, kept, vals, tops, det = _sweep(mat, point, enumerate_even_mod2(mat.g), tail_tol,
+                                          table=_even_tables(mat.g))
+    labels = [chars[i] for i in kept]
     root = cmath.sqrt(det)
-    ratios = [top / (root * val) / EighthRoot(chis[m]).value
+    ratios = [top / (root * val) / _ROOT_VALUES[ks[m._row]]
               for m, val, top in zip(labels, vals, tops)]
     return _assemble_report(labels, ratios, tol)
 
@@ -389,10 +484,11 @@ def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoi
     theta(M o m, M tau) against e(phase) * sqrt-det * theta(m, tau); the
     ratio must not depend on m.  Valid for every symplectic matrix.
     """
-    labels, vals, tops, det = _sweep(mat, point, [m for m in m_set if is_even(m)], tail_tol,
-                                     image=lambda m: act(mat, m))
+    chars, kept, vals, tops, det = _sweep(mat, point, [m for m in m_set if is_even(m)],
+                                          tail_tol, image=lambda m: act(mat, m))
+    labels = [chars[i] for i in kept]
     root = cmath.sqrt(det)
-    ratios = [top / (EighthRoot(phase_full(m, mat).eighths).value * root * val)
+    ratios = [top / (_ROOT_VALUES[phase_full(m, mat).eighths] * root * val)
               for m, val, top in zip(labels, vals, tops)]
     return _assemble_report(labels, ratios, tol)
 
@@ -407,20 +503,20 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     leftover factor (the squared multiplier) must be the same for every pair,
     and its fourth power must be 1.  The sweep covers the given pair plus all
     usable even pairs; no square root is taken, so no branch enters.  chi
-    sees m mod 2 only, so the values at the even classes serve every pair.
+    sees m mod 2 only, so each value is read at the row of a mod 2.
     """
-    chis = chi_even_values(mat)         # raises NotLevel2 before any theta work
+    ks = _chi_table(mat)[0].tolist()    # raises NotLevel2 before any theta work
     if not (is_even(m) and is_even(n)):
         raise TooFewUsable("product verification needs even characteristics")
-    keys, vals, tops, det = _sweep(mat, point, list(chis), tail_tol, needed=(m, n))
-    values, moved_values = dict(zip(keys, vals)), dict(zip(keys, tops))
+    chars, kept, vals, tops, det = _sweep(mat, point, enumerate_even_mod2(mat.g), tail_tol,
+                                          table=_even_tables(mat.g), needed=(m, n))
+    keys = [chars[i] for i in kept]
+    k = [ks[a._row] for a in keys]
     pairs = {}
-    for a, b in [(m, n)] + [(a, b) for s, a in enumerate(keys) for b in keys[s:]]:
-        pairs.setdefault(frozenset((a, b)), (a, b))
-    labels = list(pairs.values())
-    k = {a: chis[a.mod2()] for a in keys}
-    roots = [EighthRoot(x).value for x in range(8)]
-    ratios = [(moved_values[a] * moved_values[b])
-              / (det * values[a] * values[b] * roots[(k[a] + k[b]) % 8])
-              for a, b in labels]
-    return _assemble_report(labels, ratios, tol, unit_power=4)
+    for a, b in [(keys.index(m), keys.index(n))] + [
+            (s, t) for s in range(len(keys)) for t in range(s, len(keys))]:
+        pairs.setdefault((min(a, b), max(a, b)), (a, b))
+    ratios = [(tops[a] * tops[b]) / (det * vals[a] * vals[b] * _ROOT_VALUES[(k[a] + k[b]) % 8])
+              for a, b in pairs.values()]
+    return _assemble_report([(keys[a], keys[b]) for a, b in pairs.values()], ratios, tol,
+                            unit_power=4)

@@ -46,12 +46,29 @@ def test_entries_are_python_ints():
     # way the characteristic is built; any integer sequence is stored as a
     # tuple of Python ints, so equal characteristics hash alike.
     for make in (lambda: characteristic(1.7, 0), lambda: characteristic(True, 0),
-                 lambda: Characteristic(1, (0.5,), (1,))):
+                 lambda: Characteristic.from_vector([0, 2.0]),
+                 lambda: Characteristic.from_vector([False, 1]),
+                 lambda: Characteristic(1, (0.5,), (1,)),
+                 lambda: Characteristic(1, (1,), (True,))):
         with pytest.raises(BadShape):
             make()
     m = Characteristic(1, [1], [0])
     assert m.m_prime == (1,) and hash(m) == hash(characteristic(1, 0))
     assert type(Characteristic.from_vector(np.arange(2)).m_prime[0]) is int
+
+
+def test_internal_constructions_equal_checked_ones():
+    # act, mod2, shift and the mod-2 table build from Python ints without the
+    # check; each result equals, and hashes as, the checked construction.
+    rng = seeded(37)
+    mat = random_sp(2, rng)
+    m, n = characteristic(3, -2, 5, 2 ** 70), characteristic(-1, 0, 4, 1)
+    made = [act(mat, m), m.mod2(), shift(m, n)] + enumerate_mod2(2)
+    for x in made:
+        checked = Characteristic.from_vector(list(x.vector()))
+        assert x == checked and hash(x) == hash(checked) and repr(x) == repr(checked)
+        assert all(type(v) is int for v in x.vector())
+    assert shift(m, n).vector() == (1, -2, 13, 2 ** 70 + 2)
 
 
 def test_enumerate_even_counts():

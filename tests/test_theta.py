@@ -18,9 +18,10 @@ from siegelchi import (DEFAULT_TOL, THETA_FLOOR, Characteristic, DegreeMismatch,
                        truncation_radius, verify_character, verify_igusa_product,
                        verify_transformation_general, word, word_to_matrix)
 from siegelchi import theta
-from siegelchi.theta import _assemble_report
+from siegelchi.theta import SYMMETRY_TOL, _assemble_report
 
-from util import random_sp, random_tau, seeded, sign_shift_exponent, theta_box
+from util import (quad_reference, random_sp, random_tau, seeded, sign_shift_exponent,
+                  theta_box)
 
 TAU_I = siegel_point([[1j]])
 
@@ -198,31 +199,34 @@ _radii = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0))
 # two pairs with n.(y/4).n = 3 exactly, one of which rounding in the Cholesky
 # factor would push outside, and a pair (n = +-2) just outside the enlarged bounds
 @example(([-0.4884079572441151, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, -1.0, 1.0], 1.0, [0, 0, 0], 3.0,
-          -1.0, 64))
-@example(([0.0], 1.0, [0], 1.0 - 5e-10, 0.5, 64))
+          -1.0, 64, [0.0] * 9))
+@example(([0.0], 1.0, [0], 1.0 - 5e-10, 0.5, 64, [0.3]))
 @given(st.integers(1, 3).flatmap(lambda g: st.tuples(
            st.lists(_entries, min_size=g * g, max_size=g * g),
            st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0)),
            st.lists(st.integers(0, 1), min_size=g, max_size=g),
            _radii, st.one_of(st.just(-1.0), _radii),
-           st.sampled_from([64, theta._BLOCK]))))
+           st.sampled_from([64, theta._BLOCK]),
+           st.lists(_entries, min_size=g * g, max_size=g * g))))
 def test_lattice_is_the_ellipsoid(case):
-    # Coset `bits` (n = bits mod 2, n = 2v) gets radius rho2, every other coset
-    # `other` (-1: empty).  The blocks must hold one of each pair +-n != 0 of
-    # the brute-force box filter, by the same bits of n.(y/4).n, 0 never, each
-    # with its class n mod 4 and that class's coset within its cut.
-    entries, boost, bits, rho2, other, cap = case
+    # t = tau/4; coset `bits` (n = bits mod 2, n = 2v) gets radius rho2, every
+    # other coset `other` (-1: empty).  The blocks must hold one of each pair
+    # +-n != 0 of the brute-force box filter, by the same bits of Im n.t.n, 0
+    # never, each with z = _quad(t, n) bit for bit and with its class n mod 4
+    # and that class's coset within its cut.
+    entries, boost, bits, rho2, other, cap, real = case
     g = len(bits)
-    a = np.array(entries).reshape(g, g)
+    a, x = np.array(entries).reshape(g, g), np.array(real).reshape(g, g)
     y = (a @ a.T + boost * np.eye(g)) / 4.0
+    t = (x + x.T) / 8.0 + 1j * y
     cuts = np.full(2 ** g, other)
     cuts[int("".join(map(str, bits)), 2)] = rho2
     with mock.patch.object(theta, "_BLOCK", cap):
-        blocks = list(theta._half_lattice(y, cuts))
-    assert all(n.shape[1] <= cap and np.array_equal(q, theta._quad(y, n)) for n, q, _ in blocks)
+        blocks = list(theta._half_lattice(t, cuts))
+    assert all(n.shape[1] <= cap and np.array_equal(z, theta._quad(t, n)) for n, z, _ in blocks)
     class_coset = theta._class_tables(g)[2]
-    for n, q, cls in blocks:
-        for col, qq, k in zip(n.T.tolist(), q.tolist(), cls.tolist()):
+    for n, z, cls in blocks:
+        for col, qq, k in zip(n.T.tolist(), z.imag.tolist(), cls.tolist()):
             assert k == int("".join(str(int(x) % 4) for x in col), 4)
             coset = int("".join(str(int(x) % 2) for x in col), 2)
             assert class_coset[k] == coset and qq <= cuts[coset]
@@ -233,11 +237,55 @@ def test_lattice_is_the_ellipsoid(case):
     assert not mirror & set(half)
     reach = math.ceil(math.sqrt(max(rho2, other) / np.linalg.eigvalsh(y)[0])) + 1
     box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=g))).T
-    q = theta._quad(y, box.astype(float))
+    q = theta._quad(t, box.astype(float)).imag
     assert np.allclose(q, np.einsum("in,ij,jn->n", box, y, box), rtol=1e-13, atol=0.0)
     inside = box[:, q <= cuts[(box % 2).T @ (1 << np.arange(g - 1, -1, -1))]]
     zero = {(0,) * g} if cuts[0] >= 0.0 else set()
     assert set(half) | mirror | zero == {tuple(col) for col in inside.T.tolist()}
+
+
+_parts = st.floats(-4.0, 4.0, allow_subnormal=False)
+_skews = st.floats(-SYMMETRY_TOL, SYMMETRY_TOL, allow_subnormal=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda g: st.tuples(
+           st.lists(st.tuples(_parts, _parts), min_size=g * g, max_size=g * g),
+           st.lists(st.tuples(_skews, _skews), min_size=g * g, max_size=g * g),
+           st.lists(st.lists(st.integers(-60, 60), min_size=g, max_size=g),
+                    min_size=1, max_size=16))))
+def test_quad_is_the_elementwise_form_to_rounding(case):
+    # a is symmetric only to within SYMMETRY_TOL, as a validated tau may be.
+    # Multiplying by an integer-valued n and adding are componentwise, so each
+    # part of either form is a real computation on that part of a, whose
+    # every term a_ij n_i n_j passes through at most 2g roundings in the
+    # elementwise form and g + 3 in _quad (the sum a_ij + a_ji, its product,
+    # the sum l_i, adding a_ii n_i, the product by n_i and one addition per
+    # level after); so they differ by at most (gamma_2g + gamma_(g+3))
+    # sum |a_ij n_i n_j|, gamma_k = k u / (1 - k u), u = 2^-53.
+    parts, skews, cols = case
+    g = len(cols[0])
+    a = np.array([complex(*p) for p in parts]).reshape(g, g)
+    a = (a + a.T) / 2.0 + np.triu(np.array([complex(*p) for p in skews]).reshape(g, g), 1)
+    n = np.array(cols, dtype=float).T
+    z, ref = theta._quad(a, n), quad_reference(a, n)
+    gamma = sum(k * 2.0 ** -53 / (1 - k * 2.0 ** -53) for k in (2 * g, g + 3))
+    for part in (np.real, np.imag):
+        terms = np.einsum("ij,in,jn->n", np.abs(part(a)), np.abs(n), np.abs(n))
+        assert np.all(np.abs(part(z) - part(ref)) <= gamma * terms)
+    if g == 1:
+        assert np.array_equal(z, ref)       # the same two products, in the same order
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_even_table_is_cached_and_summed_alike(g):
+    evens = enumerate_even_mod2(g)
+    coset, phase = theta._even_tables(g)
+    assert theta._even_tables(g)[0] is coset and not phase.flags.writeable
+    fresh = theta._char_tables(evens)
+    assert np.array_equal(coset, fresh[0]) and np.array_equal(phase, fresh[1])
+    point = random_tau(g, seeded(67 + g))
+    assert theta_constants(evens, point) == theta._theta_values(coset, phase, point, 1e-12)
 
 
 def test_batched_matches_single_characteristic():
@@ -401,7 +449,7 @@ def test_verify_igusa_product_requires_level2(monkeypatch):
     def no_theta(*args, **kwargs):
         raise AssertionError("theta work before the level-2 check")
 
-    monkeypatch.setattr("siegelchi.theta.theta_constants", no_theta)
+    monkeypatch.setattr("siegelchi.theta._theta_values", no_theta)
     zero = characteristic(0, 0)
     with pytest.raises(NotLevel2):
         verify_igusa_product(zero, zero, make_matrix([[1, 1], [0, 1]]), TAU_I)
@@ -503,9 +551,22 @@ def test_singular_factor_is_raised():
             sweep(SINGULAR, TAU_I2)
 
 
+@pytest.mark.parametrize("inverse, message", [
+    (lambda den: np.full(den.shape, math.nan), "non-finite"),
+    (lambda den: -np.eye(len(den)), "not positive definite")])
+def test_bad_image_is_not_upper_half_space(monkeypatch, inverse, message):
+    # M tau = tau (c tau + d)^-1 at the identity, with the inverse patched to
+    # give a non-finite image or -tau: NotUpperHalfSpace, never LinAlgError.
+    monkeypatch.setattr(np.linalg, "inv", inverse)
+    point = random_tau(2, seeded(93))
+    for call in [mobius, det_sqrt_factor] + list(SWEEPS.values()):
+        with pytest.raises(NotUpperHalfSpace, match=message):
+            call(identity(2), point)
+
+
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_too_few_usable_comes_before_singular_factor(monkeypatch, sweep):
-    monkeypatch.setattr(theta, "theta_constants", lambda chars, *args: [0.0] * len(chars))
+    monkeypatch.setattr(theta, "_theta_values", lambda coset, *args: [0.0] * len(coset))
     with pytest.raises(TooFewUsable):
         SWEEPS[sweep](SINGULAR, TAU_I2)
 
@@ -519,8 +580,8 @@ def test_product_extras_do_not_count_as_usable(monkeypatch):
     # Non-binary m, n are summed with the even classes but only those count.
     m, n = characteristic(2, 0), characteristic(0, 2)
     assert verify_igusa_product(m, n, generator("B", 1, 1, 1), TAU_I).passed
-    monkeypatch.setattr(theta, "theta_constants",
-                        lambda chars, *args: [1.0, 0.0, 0.0, 1.0, 1.0][:len(chars)])
+    monkeypatch.setattr(theta, "_theta_values",
+                        lambda coset, *args: [1.0, 0.0, 0.0, 1.0, 1.0][:len(coset)])
     with pytest.raises(TooFewUsable, match="only 1 theta"):
         verify_igusa_product(m, n, identity(1), TAU_I)
 

@@ -292,3 +292,9 @@ def theta_box(chars, tau, digits=40):
             out.append(complex(sum(e * 1j ** int(sum(2 * a * int(b) for a, b in zip(v, m.m_double)) % 4)
                                    for v, e in terms[shift])))
     return out
+
+
+def quad_reference(a, n):
+    """n.a.n for each column of n in elementwise steps, row by row: the form
+    theta._quad took before it followed the enumerator's partial sums."""
+    return sum(n[i] * sum(a[i, j] * n[j] for j in range(len(a))) for i in range(len(a)))
