@@ -6,8 +6,9 @@ The level-2 congruence subgroup of the integral symplectic group is generated
 by three families of elementary matrices.  For a fixed integer characteristic
 m, the map M -> chi(m, M) is a character valued in eighth roots of unity, and
 on the generators it collapses to tiny closed forms.  This demo evaluates the
-character both ways, through the defining formula (exact preimage plus exact
-phase) and through the closed forms, and prints the degree-1 table.
+character both ways, through the matrix kernel (the phase and sign read off
+M mod 8, see character._chi_rows) and through the closed forms, and prints
+the degree-1 table.
 """
 
 import itertools

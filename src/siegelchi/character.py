@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InterpolationInconsistent, NotLevel2, _check_degree
-from .characteristics import Characteristic, _mod2_table, _monomial_table
+from .errors import BadShape, InterpolationInconsistent, NotLevel2, _check_degree
+from .characteristics import Characteristic, _mod2_table
 from .symplectic import (GeneratorWord, SymplecticMatrix, _blocks, _check_indices,
-                         _dot, _half_diagonals, _mat_vec, congruent_to_identity, is_level2)
+                         _dot, _half_diagonals, _int_entry, _mat_vec,
+                         congruent_to_identity, is_level2)
 
 _SYMBOLS = ("1", "ζ8", "i", "iζ8", "-1", "-ζ8", "-i", "-iζ8")
 
@@ -124,11 +125,46 @@ def phase_level2(m: Characteristic, mat: SymplecticMatrix) -> PhaseValue:
     return PhaseValue(raw_numerator=_dot(bm, dm) + _dot(am, cm) - 2 * _dot(ab0, dm))
 
 
-def _chi_rows(mat: SymplecticMatrix, monomials: np.ndarray) -> tuple:
+@functools.lru_cache(maxsize=None)
+def _basis(g: int) -> tuple:
+    """The closed form of chi on the level-2 group, written once.  chi sees a
+    matrix only through its generator exponents e modulo commutators: at every
+    integer m = (m', m'') its exponent is sum_n coef_n e_n m_x m_y mod 8, one
+    term per exponent in table order, p_ij on m'_i m''_j, q_ii on m'_i^2, q_ij
+    (i < j) on m'_i m'_j, r_ii on m''_i^2, r_ij (i < j) on m''_i m''_j, with
+    coef 4, but 2 for q_ii and -2 for r_ii.  Term n is its letter's value (see
+    chi_generator; 4 m'_i = 4 m'_i^2 mod 8), so e_n counts mod 8/|coef_n|.
+
+    Returns the letters (kind, i, j), 1-based, as a dict to their n; x, y
+    (indices into m.vector()) and coef as tuples of Python ints; the read-only
+    4^g x g(2g+1) int64 table of m_x m_y at the binary characteristics in
+    enumerate_mod2 order; and fold, two read-only g(2g+1) x 2 index arrays, the
+    two gathers that add _chi_rows's coefficients C onto each monomial."""
+    rows = 3 * g * g + g            # each column of C: [p x p | q x q | p x q | p]
+    gg = g * g
+    upper = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    terms = ([("A", i, j, i, g + j, 4, 2 * gg + i * g + j, None)
+              for i in range(g) for j in range(g)]
+             + [("B", i, i, i, i, 2, i * g + i, 3 * gg + i) for i in range(g)]
+             + [("B", i, j, i, j, 4, i * g + j, j * g + i) for i, j in upper]
+             + [("C", i, i, g + i, g + i, -2, gg + i * g + i, None) for i in range(g)]
+             + [("C", i, j, g + i, g + j, 4, gg + i * g + j, gg + j * g + i)
+                for i, j in upper])
+    # letter, x, y, coef, and C's rows for m_x m_y: (x, y), then (y, x) or p_i
+    kinds, i, j, x, y, coef, first, second = zip(*terms)
+    table = _mod2_table(g)[1][:, [x, y]].prod(1)
+    fold = tuple(np.array([(2 * rows,) * 2 if r is None else (r, rows + r) for r in rs])
+                 for rs in (first, second))     # C's two columns, then its trailing 0
+    for t in (table, *fold):
+        t.setflags(write=False)
+    letters = {(k, a + 1, b + 1): n for n, (k, a, b) in enumerate(zip(kinds, i, j))}
+    return letters, x, y, coef, table, fold
+
+
+def _chi_rows(mat: SymplecticMatrix) -> tuple:
     """The one character kernel: exponents k and sign bits s of chi(m, mat)
     at every binary characteristic m = (p, q) = (m', m''), as two int64 arrays
-    in the order of the rows of monomials, the matrix F = [p x p | q x q |
-    p x q | p] of characteristics._monomial_table.
+    in enumerate_mod2 order.
 
     chi(m, M) = e(phi) (-1)^s with -8 phi = m'.(b^T d).m' + m''.(a^T c).m''
     - 2 (a b^T)_0.(d m') and s = m'.delta'' mod 2, delta = (n - m)/2 for the
@@ -146,7 +182,7 @@ def _chi_rows(mat: SymplecticMatrix, monomials: np.ndarray) -> tuple:
       so (a b^T)_0 enters mod 4 and (c d^T)_0 drops out.
 
     So with every entry read mod 8, both quantities are quadratic forms in the
-    bits p, q, and each is F times a coefficient column:
+    bits p, q, with coefficients over the monomials [p x p | q x q | p x q | p]:
 
     * num = p.(b^T d).p + q.(a^T c).q - 2 (a b^T)_0.p, the phase numerator mod
       8: d p = p mod 2 and (a b^T)_0 is even, so 2 (a b^T)_0.(d p) = 2 (a b^T)_0.p
@@ -156,21 +192,25 @@ def _chi_rows(mat: SymplecticMatrix, monomials: np.ndarray) -> tuple:
       Expanded, t = 2 p.b^T.p + 2 p.(d^T - I).q - 2 (a b^T)_0.p: column
       [2 b^T, 0, 2 (d^T - I), -2 (a b^T)_0].
 
-    Then (t, num) = F C for the two-column C, and k = 4 s - num = t - num mod 8,
-    where the (a b^T)_0 terms cancel.  C is read off the matrix's one residue
-    mat._m8, so every coefficient is below 64 g in size and nothing overflows
-    however large M is.  Raises NotLevel2 unless M = I mod 2.
+    On bits p_i^2 = p_i, so the (i, j) and (j, i) entries of a column, and
+    p_i p_i with p_i, add onto one monomial of _basis: C, its two columns and
+    one trailing 0 in one flat array, folds onto the basis by two gathers, and
+    (t, num) is one product with the basis table.  Then k = 4 s - num = t - num
+    mod 8, where the (a b^T)_0 terms cancel.  C is read off the matrix's one
+    residue mat._m8, so every coefficient is below 64 g in size and nothing
+    overflows however large M is.  Raises NotLevel2 unless M = I mod 2.
     """
     g = mat.g
     if not congruent_to_identity(mat._m8, 2):
         raise NotLevel2("matrix not congruent to I mod 2")
     a, b, c, d = _blocks(mat._m8)
+    table, (first, second) = _basis(g)[4:]
     ab0 = -2 * (a * b).sum(1)
     zero = 0 * b
-    t = np.concatenate((2 * b.T, zero, 2 * d.T, ab0), axis=None)
-    t[2 * g * g:3 * g * g:g + 1] -= 2           # the diagonal of 2 (d^T - I)
-    num = np.concatenate((b.T @ d, a.T @ c, zero, ab0), axis=None)
-    t, num = (monomials @ np.stack((t, num), 1)).T
+    cols = np.concatenate((2 * b.T, zero, 2 * d.T, ab0, b.T @ d, a.T @ c, zero, ab0, 0),
+                          axis=None)
+    cols[2 * g * g:3 * g * g:g + 1] -= 2        # the diagonal of 2 (d^T - I)
+    t, num = (table @ (cols[first] + cols[second])).T
     return (t - num) % 8, t % 8 // 4
 
 
@@ -182,7 +222,7 @@ def _chi_table(mat: SymplecticMatrix) -> tuple:
     2 gets none, so every request on it raises NotLevel2."""
     table = vars(mat).get("_chi_table")
     if table is None:
-        k, s = _chi_rows(mat, _monomial_table(mat.g))
+        k, s = _chi_rows(mat)
         k.setflags(write=False)
         s.setflags(write=False)
         table = vars(mat)["_chi_table"] = k, s, tuple(_ROOTS[x] for x in k.tolist())
@@ -214,24 +254,17 @@ def chi_exponents(mat: SymplecticMatrix) -> np.ndarray:
 
 
 def chi_generator(m: Characteristic, kind: str, i: int, j: int) -> EighthRoot:
-    """Closed-form character value at a single generator.
+    """Closed-form character value at a single generator, one term of _basis:
 
     A(i,j): (-1)^(m'_i m''_j)   (the same form covers i == j),
-    B(i,j), i<j: (-1)^(m'_i m'_j),    B(i,i): (-1)^(m'_i) e(-(m'_i)^2 / 4),
+    B(i,j), i<j: (-1)^(m'_i m'_j),    B(i,i): e((m'_i)^2 / 4),
     C(i,i): e(-(m''_i)^2 / 4),        C(i,j), i<j: (-1)^(m''_i m''_j).
     """
     _check_indices(kind, i, j, m.g)
-    mp, mpp = m.m_prime, m.m_double
-    i0, j0 = i - 1, j - 1
-    if kind == "A":
-        return EighthRoot(4 * (mp[i0] * mpp[j0] % 2))
-    if kind == "B":
-        if i == j:
-            return EighthRoot(4 * (mp[i0] % 2) - 2 * mp[i0] ** 2)
-        return EighthRoot(4 * (mp[i0] * mp[j0] % 2))
-    if i == j:
-        return EighthRoot(-2 * mpp[i0] ** 2)
-    return EighthRoot(4 * (mpp[i0] * mpp[j0] % 2))
+    letters, x, y, coef = _basis(m.g)[:4]
+    n = letters[kind, i, j]
+    v = m.vector()
+    return _ROOTS[coef[n] * v[x[n]] * v[y[n]] % 8]
 
 
 def chi_word(m: Characteristic, w: GeneratorWord) -> EighthRoot:
@@ -250,8 +283,8 @@ def chi_word(m: Characteristic, w: GeneratorWord) -> EighthRoot:
 @dataclass(frozen=True)
 class AbelianExponents:
     """Generator multiplicities mod the commutator subgroup, reduced to the
-    moduli the character can see: p and off-diagonal q, r mod 2, diagonal
-    q, r mod 4."""
+    moduli the character can see, 8/|coef| in _basis: p and off-diagonal q, r
+    mod 2, diagonal q, r mod 4."""
 
     g: int
     p: tuple          # g x g rows, mod 2
@@ -262,76 +295,71 @@ class AbelianExponents:
 
     @classmethod
     def make(cls, g, p, q_diag, q_off, r_diag, r_off) -> "AbelianExponents":
-        def rows(mat, modulus, strict_upper):
-            out = []
-            for i in range(g):
-                row = []
-                for j in range(g):
-                    keep = j > i if strict_upper else True
-                    row.append(int(mat[i][j]) % modulus if keep else 0)
-                out.append(tuple(row))
-            return tuple(out)
-
-        return cls(g=g,
-                   p=rows(p, 2, strict_upper=False),
-                   q_diag=tuple(int(x) % 4 for x in q_diag),
-                   q_off=rows(q_off, 2, strict_upper=True),
-                   r_diag=tuple(int(x) % 4 for x in r_diag),
-                   r_off=rows(r_off, 2, strict_upper=True))
+        """The table with these entries, reduced.  Entries are read as make_matrix
+        reads them: a float, a bool or a table of the wrong shape raises BadShape."""
+        try:
+            p, q_off, r_off = ([list(map(_int_entry, r)) for r in t] for t in (p, q_off, r_off))
+            q_diag, r_diag = (list(map(_int_entry, t)) for t in (q_diag, r_diag))
+        except TypeError as exc:
+            raise BadShape(f"exponent entries must be integers: {exc}") from exc
+        if {len(t) for t in (p, q_diag, q_off, r_diag, r_off, *p, *q_off, *r_off)} != {g}:
+            raise BadShape(f"exponent tables must be g x g and diagonals of length g={g}")
+        return cls._of_vector(g, cls(g, p, q_diag, q_off, r_diag, r_off)._vector())
 
     @classmethod
     def zero(cls, g: int) -> "AbelianExponents":
-        z = [[0] * g for _ in range(g)]
-        return cls.make(g, z, [0] * g, z, [0] * g, z)
+        return cls._of_vector(g, [0] * (g * (2 * g + 1)))
+
+    @classmethod
+    def _of_vector(cls, g: int, e) -> "AbelianExponents":
+        """The table whose exponents in _basis order are e, each reduced mod 8/|coef|."""
+        letters, _, _, coef = _basis(g)[:4]
+        rows = {k: [[0] * g for _ in range(g)] for k in "ABC"}
+        diag = {k: [0] * g for k in "BC"}
+        for (k, i, j), x, c in zip(letters, e, coef):
+            if k != "A" and i == j:
+                diag[k][i - 1] = x % (8 // abs(c))
+            else:
+                rows[k][i - 1][j - 1] = x % (8 // abs(c))
+        p, q, r = (tuple(map(tuple, rows[k])) for k in "ABC")
+        return cls(g, p, tuple(diag["B"]), q, tuple(diag["C"]), r)
+
+    def _vector(self) -> list:
+        """The exponents in _basis order."""
+        rows = {"A": self.p, "B": self.q_off, "C": self.r_off}
+        diag = {"B": self.q_diag, "C": self.r_diag}
+        return [diag[k][i - 1] if k != "A" and i == j else rows[k][i - 1][j - 1]
+                for k, i, j in _basis(self.g)[0]]
 
 
 def chi_from_exponents(m: Characteristic, exps: AbelianExponents) -> EighthRoot:
-    """Evaluate the character from an exponent table: (-1)^A e(-B/4) with
-
-    A = sum p_ij m'_i m''_j + sum_{i<=j} q_ij m'_i m'_j + sum_{i<j} r_ij m''_i m''_j,
-    B = sum q_ii (m'_i)^2 + sum r_ii (m''_i)^2.
-    """
+    """Evaluate the character from an exponent table by the closed form of
+    _basis: exponent sum_n coef_n e_n m_x m_y mod 8, at every integer m."""
     _check_degree(m, exps)
-    g = m.g
-    mp, mpp = m.m_prime, m.m_double
-    a = sum(exps.p[i][j] * mp[i] * mpp[j] for i in range(g) for j in range(g))
-    a += sum(exps.q_diag[i] * mp[i] * mp[i] for i in range(g))
-    a += sum(exps.q_off[i][j] * mp[i] * mp[j]
-             for i in range(g) for j in range(i + 1, g))
-    a += sum(exps.r_off[i][j] * mpp[i] * mpp[j]
-             for i in range(g) for j in range(i + 1, g))
-    b = sum(exps.q_diag[i] * mp[i] ** 2 for i in range(g))
-    b += sum(exps.r_diag[i] * mpp[i] ** 2 for i in range(g))
-    return EighthRoot(4 * a - 2 * b)
+    _, x, y, coef = _basis(m.g)[:4]
+    v = m.vector()
+    terms = zip(coef, exps._vector(), x, y)
+    return _ROOTS[sum(c * e * v[s] * v[t] for c, e, s, t in terms) % 8]
 
 
 @functools.lru_cache(maxsize=None)
 def _exponent_tables(g: int) -> tuple:
     """Read-only tables for extract_abelian_exponents, one column per exponent
-    in the order p_ij (row major), q_ii, q_ij (i < j), r_ii, r_ij (i < j): the
-    g(2g+1) x 4^g probe-difference matrix L, each column's scale, and the
-    4^g x g(2g+1) matrix A with A e = chi_from_exponents mod 8 at the binary
-    characteristics in enumerate_mod2 order.  At binary m, m_i^2 = m_i and
-    4 = -4 mod 8, so q_ii enters as 2 q_ii m'_i, r_ii as -2 r_ii m''_i, and every
-    other exponent as 4 times a product of two bits.
+    in _basis order: the g(2g+1) x 4^g probe-difference matrix L, each column's
+    scale |coef|, and the 4^g x g(2g+1) matrix A = coef x table mod 8, so that
+    A e = chi_from_exponents mod 8 at the binary characteristics in
+    enumerate_mod2 order.
     """
-    bits = _mod2_table(g)[1]
+    _, x, y, coef, table, _ = _basis(g)
     unit = 1 << np.arange(2 * g - 1, -1, -1)      # row of each one-bit characteristic
-    upper = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    columns = ([(4, (i, g + j)) for i in range(g) for j in range(g)]
-               + [(2, (i,)) for i in range(g)] + [(4, t) for t in upper]
-               + [(-2, (g + i,)) for i in range(g)]
-               + [(4, (g + i, g + j)) for i, j in upper])
-    probe = np.zeros((len(columns), 4 ** g), dtype=np.int64)
-    closed = np.empty((4 ** g, len(columns)), dtype=np.int64)
-    for c, (coef, t) in enumerate(columns):
-        closed[:, c] = coef * bits[:, t].prod(1) % 8
-        if len(t) == 1:
-            probe[c, unit[t]] = coef // 2           # k(e'_i) = 2 q_ii, -k(e''_i) = 2 r_ii
+    probe = np.zeros((len(coef), 4 ** g), dtype=np.int64)
+    for n, (s, t, c) in enumerate(zip(x, y, coef)):
+        if s == t:
+            probe[n, unit[s]] = c // 2              # k(e'_i) = 2 q_ii, -k(e''_i) = 2 r_ii
         else:
-            probe[c, unit[list(t)]] = -1            # the two-unit probe minus its units
-            probe[c, unit[list(t)].sum()] = 1
-    tables = probe, np.array([abs(coef) for coef, _ in columns]), closed
+            probe[n, unit[[s, t]]] = -1             # the two-unit probe minus its units
+            probe[n, unit[s] + unit[t]] = 1
+    tables = probe, np.abs(coef), np.array(coef) * table % 8
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -344,9 +372,9 @@ def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
     probe e'_i + e''_j, e'_i + e'_j or e''_i + e''_j adds one cross term to the
     diagonal terms of its units, so minus its two unit probes it leaves 4 p_ij,
     4 q_ij or 4 r_ij.  So w = L k mod 8 is scale * e (see _exponent_tables).
-    A e = k is then checked at all 4^g rows.  That is not circular: A is
-    chi_generator's closed form summed over e, k comes from the matrix kernel
-    _chi_rows.  A table outside the image of A raises InterpolationInconsistent.
+    A e = k is then checked at all 4^g rows.  That is not circular: A is the
+    closed form of _basis, k comes from the matrix kernel _chi_rows.  A table
+    outside the image of A raises InterpolationInconsistent.
     """
     g = mat.g
     probe, scale, closed = _exponent_tables(g)
@@ -360,28 +388,16 @@ def extract_abelian_exponents(mat: SymplecticMatrix) -> AbelianExponents:
     if miss.any():
         raise InterpolationInconsistent(
             f"exponents miss chi at {np.count_nonzero(miss)} of {4 ** g} binary characteristics")
-    it = iter(e.tolist())                       # read in field order: p, q_ii, q_ij, r_ii, r_ij
-
-    def square(strict):
-        return tuple(tuple(next(it) if j > i or not strict else 0 for j in range(g))
-                     for i in range(g))
-
-    def diag():
-        return tuple(next(it) for _ in range(g))
-
-    return AbelianExponents(g, square(False), diag(), square(True), diag(), square(True))
+    return AbelianExponents._of_vector(g, e.tolist())
 
 
 def word_exponents(w: GeneratorWord) -> AbelianExponents:
     """Letter-count sums of a word, reduced to the stored moduli."""
-    g = w.g
-    p = [[0] * g for _ in range(g)]
-    q = [[0] * g for _ in range(g)]
-    r = [[0] * g for _ in range(g)]
-    for kind, i, j, e in w.letters:
-        {"A": p, "B": q, "C": r}[kind][i - 1][j - 1] += e
-    return AbelianExponents.make(g, p, [q[i][i] for i in range(g)], q,
-                                 [r[i][i] for i in range(g)], r)
+    letters = _basis(w.g)[0]
+    e = [0] * len(letters)
+    for kind, i, j, x in w.letters:
+        e[letters[kind, i, j]] += x
+    return AbelianExponents._of_vector(w.g, e)
 
 
 # ---------------------------------------------------------------------------

@@ -106,24 +106,6 @@ def _mod2_table(g: int) -> tuple:
     return chars, bits, tuple(k for k, m in enumerate(chars) if is_even(m))
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_table(g: int) -> np.ndarray:
-    """The read-only 4^g x (3g^2 + g) int64 matrix F = [p x p | q x q | p x q | p]
-    of the binary characteristics (p, q) = (m', m'') in enumerate_mod2 order:
-    column i g + j of each outer-product block holds the bit product x_i y_j.
-    A quadratic form in p and q with no linear q term is F times its
-    coefficient column; see character._chi_rows."""
-    bits = _mod2_table(g)[1]
-    p, q = bits[:, :g], bits[:, g:]
-
-    def outer(x, y):
-        return (x[:, :, None] * y[:, None, :]).reshape(len(bits), g * g)
-
-    table = np.hstack((outer(p, p), outer(q, q), outer(p, q), p))
-    table.setflags(write=False)
-    return table
-
-
 def enumerate_mod2(g: int) -> list:
     """All 4^g representatives in {0,1}^(2g), lexicographic by (m', m''),
     as a fresh list."""

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import serialize
-from .errors import (BadShape, DegreeMismatch, NotSymplectic,
-                     SiegelChiError, TooFewUsable, _check_degree)
+from .errors import (BadShape, DegreeMismatch, NotSymplectic, NotUpperHalfSpace,
+                     SiegelChiError, SingularFactor, TooFewUsable, _check_degree)
 from .characteristics import (Characteristic, act, enumerate_even_mod2,
                               enumerate_mod2, shift)
 from .character import (EighthRoot, PhaseValue, chi, chi_exponents,
@@ -250,7 +250,7 @@ def _sweep_trial(config: RunConfig, sweep, *args) -> dict:
     try:
         report = sweep(*args, tol=config.tol, tail_tol=config.tail_tol)
         return {"passed": report.passed, "max_deviation": report.max_deviation}
-    except TooFewUsable as exc:
+    except (TooFewUsable, SingularFactor, NotUpperHalfSpace) as exc:
         return {"passed": False, "error": str(exc)}
 
 

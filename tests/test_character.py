@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (AbelianExponents, Characteristic, DegreeMismatch,
+from siegelchi import (AbelianExponents, BadShape, Characteristic, DegreeMismatch,
                        EighthRoot, InterpolationInconsistent, NotLevel2,
                        characteristic,
                        chi, chi_even_values, chi_exponents, chi_from_exponents,
@@ -302,7 +302,7 @@ def test_table_is_built_once_per_matrix(monkeypatch):
     runs = []
     kernel = character._chi_rows
     monkeypatch.setattr(character, "_chi_rows",
-                        lambda mat, chars: runs.append(mat) or kernel(mat, chars))
+                        lambda mat: runs.append(mat) or kernel(mat))
     for g in (1, 2, 3):
         mat = word_to_matrix(random_word(g, 10, 60 + g))
         zeros = [0] * (g - 1)
@@ -446,6 +446,46 @@ def test_exponent_tables_match_the_closed_form(g, data):
     k = closed @ e % 8
     assert k.tolist() == [chi_from_exponents(m, exps).k for m in enumerate_mod2(g)]
     assert (probe @ k % 8).tolist() == (scale * e).tolist()
+
+
+def test_exponent_tables_invert_the_closed_form_exactly():
+    # L A = diag(scale) mod 8, so by linearity recovery inverts the closed form
+    # on every exponent table, not only on the ones sampled above.
+    for g in (1, 2, 3, 4):
+        probe, scale, closed = character._exponent_tables(g)
+        assert (probe @ closed % 8 == np.diag(scale) % 8).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_one_closed_form_at_every_integer_characteristic(g, data):
+    # Off the binary characteristics the diagonal terms need m'_i^2, not m'_i.
+    entries = st.lists(st.integers(-2**40, 2**40), min_size=2 * g, max_size=2 * g)
+    m = Characteristic.from_vector(data.draw(entries))
+    for kind, i, j in alphabet(g):
+        one = word_exponents(word(g, [(kind, i, j, 1)]))
+        assert chi_generator(m, kind, i, j) == chi_from_exponents(m, one)
+    letters = data.draw(st.lists(st.tuples(st.sampled_from(alphabet(g)), st.integers(-9, 9)),
+                                 max_size=30))
+    w = word(g, [(*letter, e) for letter, e in letters])
+    assert chi_word(m, w) == chi_from_exponents(m, word_exponents(w))
+
+
+def test_make_reduces_integer_entries():
+    exps = AbelianExponents.make(1, [[3]], [np.int64(5)], [[7]], [-1], [[9]])
+    assert (exps.p, exps.q_diag, exps.q_off, exps.r_diag, exps.r_off) == (
+        ((1,),), (1,), ((0,),), (3,), ((0,),))
+
+
+@pytest.mark.parametrize("tables", [
+    ([[1.5]], [1], [[0]], [2], [[0]]),
+    ([[1]], [True], [[0]], [2], [[0]]),
+    ([[1, 0]], [1], [[0]], [2], [[0]]),
+    ([[1]], [1], [[0]], [], [[0]]),
+], ids=["float", "bool", "wrong-row-length", "wrong-diagonal-length"])
+def test_make_rejects_what_it_cannot_read(tables):
+    with pytest.raises(BadShape):
+        AbelianExponents.make(1, *tables)
 
 
 def with_table(mat, row, value):

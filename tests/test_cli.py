@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import siegelchi
-from siegelchi import (DEFAULT_TAIL_TOL, DEFAULT_TOL, SingularFactor, TooFewUsable,
+from siegelchi import (DEFAULT_TAIL_TOL, DEFAULT_TOL, NotLevel2, NotUpperHalfSpace,
+                       SingularFactor, TooFewUsable,
                        generator, is_igusa48, is_level2, is_level4,
                        matrix_power, random_igusa48, random_word, serialize,
                        word_to_matrix)
@@ -303,31 +304,39 @@ def test_verify_too_tight_tolerance(tmp_path, capsys):
 
 
 def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
-    def singular(*args, **kwargs):
-        raise SingularFactor("c tau + d is singular")
+    # A sweep that cannot be evaluated is a failed trial (see the next test);
+    # any other library error ends its suite, and the other suites still report.
+    def not_level2(*args, **kwargs):
+        raise NotLevel2("matrix not congruent to I mod 2")
 
-    monkeypatch.setattr(cli, "verify_character", singular)
+    monkeypatch.setattr(cli, "verify_character", not_level2)
     code, out, _ = run(capsys, "verify", "--trials", "10", "--no-timestamp")
     assert code == 1
     suites = json.loads(out)["suites"]
-    assert suites.pop("C_numeric") == {"passed": False, "error": "c tau + d is singular"}
+    assert suites.pop("C_numeric") == {"passed": False,
+                                       "error": "matrix not congruent to I mod 2"}
     assert sorted(suites) == ["A_homomorphism", "B_triviality", "D_equivalence",
                               "E_phase_congruences"]
     assert all(suite["passed"] for suite in suites.values())
 
 
-def test_numeric_trial_below_the_floor_is_a_failure(capsys, monkeypatch):
-    def too_few(*args, **kwargs):
-        raise TooFewUsable("only 1 theta constants above the floor")
+@pytest.mark.parametrize("error, text", [
+    (TooFewUsable, "only 1 theta constants above the floor"),
+    (SingularFactor, "c tau + d is numerically singular"),
+    (NotUpperHalfSpace, "M tau is not in the Siegel upper half space"),
+], ids=["TooFewUsable", "SingularFactor", "NotUpperHalfSpace"])
+def test_numeric_trial_below_the_floor_is_a_failure(capsys, monkeypatch, error, text):
+    def fails(*args, **kwargs):
+        raise error(text)
 
-    monkeypatch.setattr(cli, "verify_igusa_product", too_few)
+    monkeypatch.setattr(cli, "verify_igusa_product", fails)
     code, out, _ = run(capsys, "verify", "--trials", "10", "--no-timestamp")
     assert code == 1
     numeric = json.loads(out)["suites"]["C_numeric"]
     assert (numeric["character_trials"], numeric["product_trials"]) == (2, 1)
     assert numeric["failures"] == 1 and numeric["passed"] is False
     assert numeric["max_deviation"] < DEFAULT_TOL   # the character trials still ran
-    assert numeric["errors"] == ["only 1 theta constants above the floor"]
+    assert numeric["errors"] == [text]
 
 
 def test_verify_rejects_bad_config(capsys):
