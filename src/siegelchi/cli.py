@@ -23,10 +23,9 @@ from .errors import (BadShape, DegreeMismatch, NotSymplectic, NotUpperHalfSpace,
                      SiegelChiError, SingularFactor, TooFewUsable, _check_degree)
 from .characteristics import (Characteristic, act, enumerate_even_mod2,
                               enumerate_mod2, shift)
-from .character import (EighthRoot, PhaseValue, chi, chi_exponents,
-                        chi_from_exponents, chi_generator, delta_sign_bit,
-                        extract_abelian_exponents, is_chi_constant_over_even,
-                        phase_full, phase_level2)
+from .character import (EighthRoot, PhaseValue, chi, chi_exponents, chi_generator,
+                        delta_sign_bit, extract_abelian_exponents,
+                        is_chi_constant_over_even, phase_full, phase_level2)
 from .symplectic import (SymplecticMatrix, _generator_power, _int_matrix,
                          _random_igusa48, _random_word, _residue8, alphabet,
                          congruent_to_identity, congruent_to_igusa48, generator,
@@ -48,9 +47,16 @@ EXIT_MISMATCH = 4
 TIGHTNESS_FACTOR = 10.0
 
 
-def _check_g(g: int):
+# Above this degree the 4^g-row tables of chi, decompose, table and verify outgrow
+# memory (verify's even table alone is 1.08 GB at g = 7); member and random build none.
+MAX_G = 6
+
+
+def _check_g(g: int, most: float = MAX_G):
     if g < 1:
         raise BadShape("g must be at least 1")
+    if g > most:
+        raise BadShape(f"g = {g} is above {most}, the largest degree this command takes")
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,7 @@ def _parse_characteristic(text: str, mat: SymplecticMatrix) -> Characteristic:
 
 def cmd_chi(args) -> int:
     mat = _load_matrix(args.matrix)
+    _check_g(mat.g)
     m = _parse_characteristic(args.char, mat)
     k, s = chi(m, mat).k, delta_sign_bit(m, mat)
     out = serialize.eighth_root_to_dict(EighthRoot(k))
@@ -190,7 +197,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_random(args) -> int:
-    _check_g(args.g)
+    _check_g(args.g, math.inf)
     w = random_word(args.g, args.word_length, args.seed)
     payload = {"word": serialize.word_to_dict(w),
                "matrix": serialize.matrix_to_dict(word_to_matrix(w))}
@@ -200,16 +207,11 @@ def cmd_random(args) -> int:
 
 def cmd_decompose(args) -> int:
     mat = _load_matrix(args.matrix)
-    exps = extract_abelian_exponents(mat)
-    mismatches = [serialize.characteristic_to_list(m)
-                  for m, k in zip(enumerate_mod2(mat.g), chi_exponents(mat).tolist())
-                  if chi_from_exponents(m, exps).k != k]
-    payload = {"exponents": serialize.exponents_to_dict(exps),
-               "residual_check": "ok" if not mismatches else "failed",
-               "checked_points": 4 ** mat.g,
-               "mismatches": mismatches}
-    _emit_json(payload, args.output)
-    return EXIT_OK if not mismatches else EXIT_MISMATCH
+    _check_g(mat.g)
+    exps = extract_abelian_exponents(mat)     # checks chi at all 4^g binary rows
+    _emit_json({"exponents": serialize.exponents_to_dict(exps), "residual_check": "ok",
+                "checked_points": 4 ** mat.g, "mismatches": []}, args.output)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -328,9 +328,12 @@ def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
     """(M tau, det(c tau + d)) from one c tau + d, checked once for
     conditioning; M tau = (a tau + b)(c tau + d)^-1, re-symmetrized, which
     makes it exactly symmetric, and checked to be finite with Im(M tau)
-    positive definite (NotUpperHalfSpace)."""
+    positive definite (NotUpperHalfSpace, as is an entry of M past binary64)."""
     _check_degree(mat, point)
-    g, e = point.g, mat.entries.astype(float)
+    try:
+        g, e = point.g, mat.entries.astype(float)
+    except OverflowError as exc:
+        raise NotUpperHalfSpace(f"M has an entry past the binary64 range: {exc}") from exc
     den = e[g:, :g] @ point.tau + e[g:, g:]
     if np.linalg.cond(den) > COND_LIMIT:
         raise SingularFactor("c tau + d is numerically singular")
@@ -421,39 +424,20 @@ def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationRe
                               tolerance=float(tol), passed=bool(ok))
 
 
-def _sweep(mat: SymplecticMatrix, point: SiegelPoint, chars: list, tail_tol: float,
-           table=None, needed=(), image=None) -> tuple:
-    """The body of every verification sweep.  After the degree checks, sum
-    theta at tau over chars, whose rows of _char_tables are table when given,
-    and over the characteristics of needed not in chars, appended to them;
-    keep the indices whose value clears THETA_FLOOR; raise TooFewUsable unless
-    two of chars and all of needed are kept (needed ones outside chars are
-    summed but not counted); then form M tau and det(c tau + d) once
-    (SingularFactor) and sum theta at M tau over the kept rows of the same
-    table, or over the table of image(m) for each kept m when image is given.
-    Returns chars with the extras, the kept indices, their theta at tau,
-    those at M tau, and the det.
-    """
-    _check_degree(mat, point)           # before any theta work, as for the level-2 check
-    counted = len(chars)
-    chars = chars + [m for m in dict.fromkeys(needed) if m not in chars]
-    vals = []
-    if chars:
-        if table is None or len(chars) > counted:   # chars from a caller, or extras
-            for m in chars:
-                _check_degree(m, point)
-            table = _char_tables(chars)
-        vals = _theta_values(*table, point, tail_tol)
+def _sweep(mat: SymplecticMatrix, point: SiegelPoint, table, tail_tol: float, moved=None) -> tuple:
+    """The body of every verification sweep, after the caller's degree checks:
+    sum theta at tau over the rows of table (from _char_tables), keep the
+    indices whose value clears THETA_FLOOR, TooFewUsable unless two are kept,
+    one M tau and det(c tau + d) (SingularFactor), then theta at M tau over
+    the kept rows, or over the table moved(kept) when given.  Returns the
+    kept indices, their theta at tau and at M tau, and the det."""
+    vals = _theta_values(*table, point, tail_tol)
     kept = [i for i, val in enumerate(vals) if abs(val) > THETA_FLOOR]
-    count = sum(i < counted for i in kept)
-    if count < 2:
-        raise TooFewUsable(f"only {count} theta constants above the floor")
-    if any(chars.index(m) not in kept for m in needed):
-        raise TooFewUsable("requested characteristic below the theta floor")
-    moved, det = _transform(mat, point)
-    moved_table = (tuple(x[kept] for x in table) if image is None
-                   else _char_tables([image(chars[i]) for i in kept]))
-    return chars, kept, [vals[i] for i in kept], _theta_values(*moved_table, moved, tail_tol), det
+    if len(kept) < 2:
+        raise TooFewUsable(f"only {len(kept)} theta constants above the floor")
+    image, det = _transform(mat, point)
+    image_table = tuple(x[kept] for x in table) if moved is None else moved(kept)
+    return kept, [vals[i] for i in kept], _theta_values(*image_table, image, tail_tol), det
 
 
 def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
@@ -466,9 +450,10 @@ def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
     unit modulus and trivial eighth power.
     """
     ks = _chi_table(mat)[0].tolist()    # raises NotLevel2 before any theta work
-    chars, kept, vals, tops, det = _sweep(mat, point, enumerate_even_mod2(mat.g), tail_tol,
-                                          table=_even_tables(mat.g))
-    labels = [chars[i] for i in kept]
+    _check_degree(mat, point)
+    evens = enumerate_even_mod2(mat.g)
+    kept, vals, tops, det = _sweep(mat, point, _even_tables(mat.g), tail_tol)
+    labels = [evens[i] for i in kept]
     root = cmath.sqrt(det)
     ratios = [top / (root * val) / _ROOT_VALUES[ks[m._row]]
               for m, val, top in zip(labels, vals, tops)]
@@ -484,8 +469,14 @@ def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoi
     theta(M o m, M tau) against e(phase) * sqrt-det * theta(m, tau); the
     ratio must not depend on m.  Valid for every symplectic matrix.
     """
-    chars, kept, vals, tops, det = _sweep(mat, point, [m for m in m_set if is_even(m)],
-                                          tail_tol, image=lambda m: act(mat, m))
+    chars = [m for m in m_set if is_even(m)]
+    for x in (mat, *chars):
+        _check_degree(x, point)
+    if not chars:
+        raise TooFewUsable("only 0 theta constants above the floor")
+    kept, vals, tops, det = _sweep(mat, point, _char_tables(chars), tail_tol,
+                                   moved=lambda rows: _char_tables([act(mat, chars[i])
+                                                                    for i in rows]))
     labels = [chars[i] for i in kept]
     root = cmath.sqrt(det)
     ratios = [top / (_ROOT_VALUES[phase_full(m, mat).eighths] * root * val)
@@ -502,18 +493,24 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     psi = theta_m theta_n transforms with det(c tau + d) and chi_m chi_n; the
     leftover factor (the squared multiplier) must be the same for every pair,
     and its fourth power must be 1.  The sweep covers the given pair plus all
-    usable even pairs; no square root is taken, so no branch enters.  chi
-    sees m mod 2 only, so each value is read at the row of a mod 2.
+    usable even pairs; no square root is taken, so no branch enters.
+
+    m and n are read at their rows mod 2: chi sees m mod 2 only, and
+    theta[m + 2j] = (-1)^(m'.j'') theta[m] with one sign at tau and M tau.
     """
     ks = _chi_table(mat)[0].tolist()    # raises NotLevel2 before any theta work
     if not (is_even(m) and is_even(n)):
         raise TooFewUsable("product verification needs even characteristics")
-    chars, kept, vals, tops, det = _sweep(mat, point, enumerate_even_mod2(mat.g), tail_tol,
-                                          table=_even_tables(mat.g), needed=(m, n))
-    keys = [chars[i] for i in kept]
+    for x in (mat, m, n):
+        _check_degree(x, point)
+    evens = enumerate_even_mod2(mat.g)
+    kept, vals, tops, det = _sweep(mat, point, _even_tables(mat.g), tail_tol)
+    keys = [evens[i] for i in kept]
+    if m.mod2() not in keys or n.mod2() not in keys:
+        raise TooFewUsable("requested characteristic below the theta floor")
     k = [ks[a._row] for a in keys]
     pairs = {}
-    for a, b in [(keys.index(m), keys.index(n))] + [
+    for a, b in [(keys.index(m.mod2()), keys.index(n.mod2()))] + [
             (s, t) for s in range(len(keys)) for t in range(s, len(keys))]:
         pairs.setdefault((min(a, b), max(a, b)), (a, b))
     ratios = [(tops[a] * tops[b]) / (det * vals[a] * vals[b] * _ROOT_VALUES[(k[a] + k[b]) % 8])

@@ -14,7 +14,7 @@ from siegelchi import (DEFAULT_TAIL_TOL, DEFAULT_TOL, NotLevel2, NotUpperHalfSpa
                        generator, is_igusa48, is_level2, is_level4,
                        matrix_power, random_igusa48, random_word, serialize,
                        word_to_matrix)
-from siegelchi import cli
+from siegelchi import character, cli
 from siegelchi.cli import RunConfig, _build_parser, main
 
 IDENTITY = {"g": 1, "m": [[1, 0], [0, 1]]}
@@ -256,6 +256,24 @@ def test_decompose_not_level2(tmp_path, capsys):
     assert code == 3
 
 
+def test_decompose_inconsistent_kernel_exits_3(tmp_path, capsys, monkeypatch):
+    # Exponent recovery checks chi at all 4^g binary rows, so a kernel value off
+    # at row 15 = (1, 1, 1, 1), which no probe reads, is a precondition failure.
+    kernel = character._chi_rows
+
+    def shifted(mat):
+        k, s = kernel(mat)
+        k[15] = (k[15] + 1) % 8
+        return k, s
+
+    monkeypatch.setattr(character, "_chi_rows", shifted)
+    mat = word_to_matrix(random_word(2, 3, 5))
+    path = write(tmp_path, "m.json", serialize.matrix_to_dict(mat))
+    code, out, err = run(capsys, "decompose", "--matrix", path)
+    assert code == 3
+    assert out == "" and err.startswith("error: exponents miss chi at 1 of 16")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -356,6 +374,37 @@ def test_bad_config_exits_2_without_traceback(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+IDENTITY7 = {"g": 7, "m": [[int(i == j) for j in range(14)] for i in range(14)]}
+ABOVE_CAP = {"chi": ["--char", ",".join(["0"] * 14)], "decompose": [],
+             "table": ["--g", "7"], "verify": ["--g", "7", "--trials", "1"]}
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    def no_basis(g):
+        raise AssertionError(f"a 4^{g}-row table was built")
+
+    monkeypatch.setattr(character, "_basis", no_basis)
+
+
+@pytest.mark.parametrize("command", ABOVE_CAP)
+def test_degree_above_the_cap_exits_2(tmp_path, capsys, no_tables, command):
+    assert cli.MAX_G == 6
+    argv = [command, *ABOVE_CAP[command]]
+    if command in ("chi", "decompose"):
+        argv += ["--matrix", write(tmp_path, "m.json", IDENTITY7)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == "error: g = 7 is above 6, the largest degree this command takes\n"
+
+
+def test_member_and_random_are_not_capped(tmp_path, capsys, no_tables):
+    code, out, _ = run(capsys, "member", "--matrix", write(tmp_path, "m.json", IDENTITY7))
+    assert code == 0 and json.loads(out)["level2"] is True
+    code, out, _ = run(capsys, "random", "--g", "7", "--word-length", "2")
+    assert code == 0 and json.loads(out)["matrix"]["g"] == 7
 
 
 @pytest.mark.parametrize("argv", [["verify", "--trials", "1"], ["table"]],

@@ -39,9 +39,11 @@ def _env():
     return env
 
 
-def test_import_loads_no_heavy_modules():
-    # scipy.special alone adds 130-170 ms to every CLI start-up.
-    code = ("import sys, siegelchi; "
+@pytest.mark.parametrize("module", ["siegelchi", "siegelchi.cli"])
+def test_import_loads_no_heavy_modules(module):
+    # scipy.special alone adds 130-170 ms to every CLI start-up, and the CLI
+    # module is what every `siegelchi` command imports first.
+    code = (f"import sys, {module}; "
             "print(sorted({'scipy', 'mpmath', 'sympy'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(),
                           capture_output=True, text=True, timeout=120)

@@ -577,13 +577,52 @@ def test_degree_mismatch_comes_before_too_few_usable():
 
 
 def test_product_extras_do_not_count_as_usable(monkeypatch):
-    # Non-binary m, n are summed with the even classes but only those count.
+    # Non-binary m, n are read at their rows mod 2: only the three even
+    # classes are summed, and one of them above the floor is too few.
     m, n = characteristic(2, 0), characteristic(0, 2)
     assert verify_igusa_product(m, n, generator("B", 1, 1, 1), TAU_I).passed
-    monkeypatch.setattr(theta, "_theta_values",
-                        lambda coset, *args: [1.0, 0.0, 0.0, 1.0, 1.0][:len(coset)])
+    monkeypatch.setattr(theta, "_theta_values", lambda coset, *args: [1.0, 0.0, 0.0])
     with pytest.raises(TooFewUsable, match="only 1 theta"):
         verify_igusa_product(m, n, identity(1), TAU_I)
+
+
+@pytest.mark.parametrize("g, m, n", [
+    (2, (2, 0, 0, 2), (3, 0, -2, 1)),
+    (3, (2, 0, 0, 0, 2, 0), (-1, 3, 0, 1, 1, 2))], ids=["g2", "g3"])
+def test_product_reads_m_and_n_at_their_rows_mod_2(g, m, n):
+    # theta[m + 2j] = +-theta[m] with one sign at tau and M tau, so a non-binary
+    # pair adds no ratio: its report is that of (m mod 2, n mod 2), bit for bit.
+    m, n = characteristic(*m), characteristic(*n)
+    mat = word_to_matrix(random_word(g, 3, 94 + g))
+    point = random_tau(g, seeded(95 + g))
+    report = verify_igusa_product(m, n, mat, point)
+    binary = verify_igusa_product(m.mod2(), n.mod2(), mat, point)
+    assert report.passed and report.m_list == binary.m_list
+    assert report.m_list[0] == (m.mod2(), n.mod2())
+    assert report.ratios == binary.ratios and report.estimated_unit == binary.estimated_unit
+    if g == 2:
+        assert len(report.ratios) == 55
+
+
+@pytest.mark.parametrize("m, n", [(ZERO2, characteristic(0, 0)), (characteristic(0, 0), ZERO2)],
+                         ids=["m", "n"])
+def test_product_degree_mismatch_comes_before_theta_work(monkeypatch, m, n):
+    def no_theta(*args, **kwargs):
+        raise AssertionError("theta work before the degree check")
+
+    monkeypatch.setattr(theta, "_theta_values", no_theta)
+    with pytest.raises(DegreeMismatch):
+        verify_igusa_product(m, n, identity(1), TAU_I)
+
+
+# B(1, 1)^(10^400) is level 2, and 10^400 overflows binary64.
+HUGE = word_to_matrix(word(1, [("B", 1, 1, 10 ** 400)]))
+
+
+def test_entry_past_binary64_is_not_upper_half_space():
+    for call in [mobius, det_sqrt_factor] + list(SWEEPS.values()):
+        with pytest.raises(NotUpperHalfSpace, match="binary64"):
+            call(HUGE, TAU_I)
 
 
 def test_unit_estimates_are_eighth_roots():
