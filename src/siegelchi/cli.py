@@ -47,8 +47,9 @@ EXIT_MISMATCH = 4
 TIGHTNESS_FACTOR = 10.0
 
 
-# Above this degree the 4^g-row tables of chi, decompose, table and verify outgrow
-# memory (verify's even table alone is 1.08 GB at g = 7); member and random build none.
+# Above this degree the 4^g-row tables of chi, decompose, table and verify outgrow memory:
+# at g = 7 verify's product sweep pairs 8256 even classes into about 34 M ratios and table
+# holds 105 x 16384 row dicts (g = 6 peaks at 1.0 and 0.8 GB); member and random build none.
 MAX_G = 6
 
 

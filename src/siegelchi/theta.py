@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (NonPositiveTolerance, NotUpperHalfSpace, SingularFactor,
                      TooFewUsable, _check_degree)
-from .characteristics import Characteristic, act, enumerate_even_mod2, is_even
+from .characteristics import Characteristic, _mod2_table, act, is_even
 from .character import EighthRoot, _chi_table, phase_full
 from .symplectic import SymplecticMatrix
 
@@ -54,6 +54,8 @@ class SiegelPoint:
             raise NotUpperHalfSpace(f"tau must be square and non-empty, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise NotUpperHalfSpace("tau has a non-finite entry")
+        if np.abs(mat.view(float)).max() > np.finfo(float).max / 2.0:
+            raise NotUpperHalfSpace("tau has an entry past half the binary64 range")
         if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
             raise NotUpperHalfSpace("tau is not symmetric within 1e-12")
         point = cls(g=mat.shape[0], tau=mat)
@@ -202,7 +204,7 @@ def _half_lattice(t: np.ndarray, rho2: np.ndarray):
     y = t.imag
     u = np.linalg.cholesky((y + y.T) / 2.0).T
     pair = t + t.T
-    _, weights, class_coset = _class_tables(g)
+    weights, class_coset = _class_tables(g)[:2]
     cut = rho2[class_coset]
     top = rho2.max() * (1.0 + 1e-9)
     ni = np.arange(float(k == 0), math.floor(math.sqrt(top) / u[k, k]) + 1.0)
@@ -236,61 +238,54 @@ def _half_lattice(t: np.ndarray, rho2: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _class_tables(g: int) -> tuple:
-    """The 4^g classes of n mod 4 as columns in class order, the weight of each
-    base-4 digit (n_0 first), and each class's coset n mod 2 in binary digits."""
+    """The weight of each base-4 digit of a class n mod 4 (n_0 first), each
+    class's coset n mod 2 in binary digits, and at [b, j], [j, h] and [b, h]
+    for binary b, j, h: the class b + 2j, (-1)^(j.h) and cos(pi b.h / 2)."""
     classes = np.indices((4,) * g).reshape(g, -1)
+    binary = np.indices((2,) * g).reshape(g, -1).T
     bits = 1 << np.arange(g - 1, -1, -1)
-    tables = classes, bits * bits, bits @ (classes & 1)
+    dots = binary @ binary.T
+    tables = (bits * bits, bits @ (classes & 1), (binary[:, None] + 2 * binary) @ (bits * bits),
+              1.0 - 2.0 * (dots & 1), _COS_QUARTER[dots & 3])
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def _char_tables(chars) -> tuple:
-    """(coset, phase) of characteristics of one degree: the coset m' mod 2 of
-    each in binary digits, and in each row the factor cos(pi n.m'' / 2) of
-    every class n mod 4 of that coset, 0 at the classes of other cosets.  Both
-    see the entries mod 4 only, read with & 3 from one flat list."""
+def _signed_rows(chars) -> tuple:
+    """The row of m mod 2 in enumerate_mod2 order of each characteristic, and
+    whether theta[m] = -theta[m mod 2]: (-1)^(m'.j'') with m'' = (m'' mod 2) +
+    2 j''.  Both see the entries mod 4 only, read with & 3 from one flat list."""
     g = chars[0].g
-    classes, weights, class_coset = _class_tables(g)
-    x = np.array([v & 3 for m in chars for v in m.vector()]).reshape(len(chars), 2 * g)
-    coset = class_coset[x[:, :g] @ weights]
-    phase = _COS_QUARTER[(x[:, g:] @ classes) & 3]
-    phase[coset[:, None] != class_coset] = 0.0
-    return coset, phase
+    x = np.array([v & 3 for m in chars for v in m.vector()]).reshape(len(chars), 2, g)
+    rows = (x & 1).reshape(len(chars), 2 * g) @ (1 << np.arange(2 * g - 1, -1, -1))
+    return rows, (np.sum((x[:, 0] & 1) * (x[:, 1] >> 1), axis=1) & 1).astype(bool).tolist()
 
 
-@lru_cache(maxsize=None)
-def _even_tables(g: int) -> tuple:
-    """_char_tables of enumerate_even_mod2(g), read-only: the rows every
-    verify_character and verify_igusa_product sweep at tau starts from."""
-    tables = _char_tables(enumerate_even_mod2(g))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
-def _theta_values(coset: np.ndarray, phase: np.ndarray, point: SiegelPoint,
-                  tail_tol: float) -> list:
-    """The theta constants of the characteristics whose rows of _char_tables
-    are (coset, phase), in order, from one lattice pass; see theta_constants."""
+def _theta_rows(rows, point: SiegelPoint, tail_tol: float) -> list:
+    """The theta constants at the binary characteristics of the given rows of
+    enumerate_mod2, in order, from one lattice pass over their cosets; see
+    theta_constants."""
     g = point.g
     r = truncation_radius(None, point, tail_tol)
-    rho2 = np.full(2 ** g, -1.0)                # cosets no characteristic asks for stay empty
-    rho2[coset] = point.im_min_eig * r * r
+    rho2 = np.full(2 ** g, -1.0)                # cosets no row asks for stay empty
+    rho2[np.asarray(rows) >> g] = point.im_min_eig * r * r
     sums = np.zeros(4 ** g, dtype=complex)
     for _, z, cls in _half_lattice(point.tau / 4.0, rho2):
         size = np.exp(-math.pi * z.imag)
         turn = math.pi * z.real
         sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
         sums += 1j * np.bincount(cls, size * np.sin(turn), 4 ** g)
-    return (phase[:, 0] + 2.0 * (phase @ sums)).tolist()
+    _, _, lift, signs, quarter = _class_tables(g)
+    table = 2.0 * (quarter * (sums[lift] @ signs))
+    table[0] += 1.0
+    return table.ravel().take(rows).tolist()
 
 
 def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL) -> list:
     """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
-    one per characteristic in chars, in order, from one lattice pass:
-    _char_tables, then _theta_values.
+    one per characteristic in chars (any iterable), in order, from one lattice
+    pass: _signed_rows, then _theta_rows.
 
     Every coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
     the ellipsoid v.Y.v <= lam R^2: Y = Im(tau) with smallest eigenvalue lam,
@@ -302,16 +297,23 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
 
     n -> -n maps a coset to itself, keeps z and conjugates exp(pi i v.m'') =
     i^(n.m''), so a pair +-n adds 2 exp(-pi Im z) exp(pi i Re z) cos(pi n.m''
-    / 2), with the exact cos(pi k / 2) = [1, 0, -1, 0][k mod 4], and n = 0
-    adds 1 to coset 0.  Cosine and coset see n mod 4 only, so terms are first
-    summed per class of n mod 4, and every m'' (non-binary ones too) is read
-    from the 4^g class sums by one product.  The summation order is fixed.
+    / 2), and n = 0 adds 1 to coset 0.  Cosine and coset see n mod 4 only, so
+    terms are first summed per class of n mod 4, S[k].  Coset b holds the
+    classes b + 2j, j binary, and for binary h, cos(pi (b + 2j).h / 2) =
+    cos(pi b.h / 2) (-1)^(j.h), cos(pi k / 2) = [1, 0, -1, 0][k mod 4] exactly;
+    so theta[b, h] = [b = 0] + 2 cos(pi b.h / 2) sum_j (-1)^(j.h) S[b + 2j] at
+    every binary row from one +-1 product, exactly 0 where b.h is odd.  Any
+    other m is read at its row mod 2, signed: m' enters only through its
+    coset, and m'' = h + 2j'' turns each term by exp(2 pi i v.j'') =
+    (-1)^(m'.j''), as v - m'/2 is in Z^g.  The summation order is fixed.
     """
+    chars = list(chars)
     if not chars:
         return []
     for m in chars:
         _check_degree(m, point)
-    return _theta_values(*_char_tables(chars), point, tail_tol)
+    rows, flips = _signed_rows(chars)
+    return [-v if flip else v for v, flip in zip(_theta_rows(rows, point, tail_tol), flips)]
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint,
@@ -424,20 +426,17 @@ def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationRe
                               tolerance=float(tol), passed=bool(ok))
 
 
-def _sweep(mat: SymplecticMatrix, point: SiegelPoint, table, tail_tol: float, moved=None) -> tuple:
+def _sweep(mat: SymplecticMatrix, point: SiegelPoint, rows, tail_tol: float) -> tuple:
     """The body of every verification sweep, after the caller's degree checks:
-    sum theta at tau over the rows of table (from _char_tables), keep the
-    indices whose value clears THETA_FLOOR, TooFewUsable unless two are kept,
-    one M tau and det(c tau + d) (SingularFactor), then theta at M tau over
-    the kept rows, or over the table moved(kept) when given.  Returns the
-    kept indices, their theta at tau and at M tau, and the det."""
-    vals = _theta_values(*table, point, tail_tol)
+    theta at tau at the given rows, the positions above THETA_FLOOR (TooFewUsable
+    unless two), one M tau and det(c tau + d) (SingularFactor).  Returns the kept
+    positions, their theta at tau, M tau and the det; callers read theta at M tau."""
+    vals = _theta_rows(rows, point, tail_tol)
     kept = [i for i, val in enumerate(vals) if abs(val) > THETA_FLOOR]
     if len(kept) < 2:
         raise TooFewUsable(f"only {len(kept)} theta constants above the floor")
     image, det = _transform(mat, point)
-    image_table = tuple(x[kept] for x in table) if moved is None else moved(kept)
-    return kept, [vals[i] for i in kept], _theta_values(*image_table, image, tail_tol), det
+    return kept, [vals[i] for i in kept], image, det
 
 
 def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
@@ -451,13 +450,13 @@ def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
     """
     ks = _chi_table(mat)[0].tolist()    # raises NotLevel2 before any theta work
     _check_degree(mat, point)
-    evens = enumerate_even_mod2(mat.g)
-    kept, vals, tops, det = _sweep(mat, point, _even_tables(mat.g), tail_tol)
-    labels = [evens[i] for i in kept]
+    chars, _, evens = _mod2_table(mat.g)
+    kept, vals, image, det = _sweep(mat, point, evens, tail_tol)
+    rows = [evens[i] for i in kept]
     root = cmath.sqrt(det)
-    ratios = [top / (root * val) / _ROOT_VALUES[ks[m._row]]
-              for m, val, top in zip(labels, vals, tops)]
-    return _assemble_report(labels, ratios, tol)
+    ratios = [top / (root * val) / _ROOT_VALUES[ks[r]]
+              for r, val, top in zip(rows, vals, _theta_rows(rows, image, tail_tol))]
+    return _assemble_report([chars[r] for r in rows], ratios, tol)
 
 
 def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoint,
@@ -474,13 +473,13 @@ def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoi
         _check_degree(x, point)
     if not chars:
         raise TooFewUsable("only 0 theta constants above the floor")
-    kept, vals, tops, det = _sweep(mat, point, _char_tables(chars), tail_tol,
-                                   moved=lambda rows: _char_tables([act(mat, chars[i])
-                                                                    for i in rows]))
+    rows, flips = _signed_rows(chars)
+    kept, vals, image, det = _sweep(mat, point, rows, tail_tol)
     labels = [chars[i] for i in kept]
+    tops = theta_constants([act(mat, m) for m in labels], image, tail_tol)
     root = cmath.sqrt(det)
-    ratios = [top / (_ROOT_VALUES[phase_full(m, mat).eighths] * root * val)
-              for m, val, top in zip(labels, vals, tops)]
+    ratios = [top / (_ROOT_VALUES[phase_full(m, mat).eighths] * root * (-val if flips[i] else val))
+              for i, m, val, top in zip(kept, labels, vals, tops)]
     return _assemble_report(labels, ratios, tol)
 
 
@@ -503,17 +502,19 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
         raise TooFewUsable("product verification needs even characteristics")
     for x in (mat, m, n):
         _check_degree(x, point)
-    evens = enumerate_even_mod2(mat.g)
-    kept, vals, tops, det = _sweep(mat, point, _even_tables(mat.g), tail_tol)
-    keys = [evens[i] for i in kept]
-    if m.mod2() not in keys or n.mod2() not in keys:
+    chars, _, evens = _mod2_table(mat.g)
+    kept, vals, image, det = _sweep(mat, point, evens, tail_tol)
+    rows = [evens[i] for i in kept]
+    where = {r: i for i, r in enumerate(rows)}
+    if m._row not in where or n._row not in where:
         raise TooFewUsable("requested characteristic below the theta floor")
-    k = [ks[a._row] for a in keys]
+    tops = _theta_rows(rows, image, tail_tol)
+    k = [ks[r] for r in rows]
     pairs = {}
-    for a, b in [(keys.index(m.mod2()), keys.index(n.mod2()))] + [
-            (s, t) for s in range(len(keys)) for t in range(s, len(keys))]:
+    for a, b in [(where[m._row], where[n._row])] + [
+            (s, t) for s in range(len(rows)) for t in range(s, len(rows))]:
         pairs.setdefault((min(a, b), max(a, b)), (a, b))
     ratios = [(tops[a] * tops[b]) / (det * vals[a] * vals[b] * _ROOT_VALUES[(k[a] + k[b]) % 8])
               for a, b in pairs.values()]
-    return _assemble_report([(keys[a], keys[b]) for a, b in pairs.values()], ratios, tol,
-                            unit_power=4)
+    return _assemble_report([(chars[rows[a]], chars[rows[b]]) for a, b in pairs.values()],
+                            ratios, tol, unit_power=4)

@@ -1,7 +1,9 @@
 """The library names that the benchmark, the README and the demos rely on stay public,
 every demo still runs to completion, and importing the package stays light."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,6 +23,13 @@ def test_benchmark_names_are_exported():
         names = set(re.findall(r"\bsc\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
         assert "chi" in names and "verify_character" in names, path
         assert sorted(names - set(siegelchi.__all__)) == [], path
+    # Every backticked `module._name` the README describes still exists.
+    modules = {info.name for info in pkgutil.iter_modules(siegelchi.__path__)}
+    spans = re.findall(r"`(\w+)\.(_\w+)", (ROOT / "README.md").read_text(encoding="utf-8"))
+    named = [(module, name) for module, name in spans if module in modules]
+    assert ("character", "_basis") in named
+    assert [(module, name) for module, name in named if not hasattr(
+        importlib.import_module(f"siegelchi.{module}"), name)] == []
 
 
 def test_star_import_binds_no_module():

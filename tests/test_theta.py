@@ -20,8 +20,8 @@ from siegelchi import (DEFAULT_TOL, THETA_FLOOR, Characteristic, DegreeMismatch,
 from siegelchi import theta
 from siegelchi.theta import SYMMETRY_TOL, _assemble_report
 
-from util import (quad_reference, random_sp, random_tau, seeded, sign_shift_exponent,
-                  theta_box)
+from util import (delta, quad_reference, random_sp, random_tau, seeded, sign_shift_exponent,
+                  theta_box, theta_dense_reference)
 
 TAU_I = siegel_point([[1j]])
 
@@ -55,10 +55,16 @@ def test_point_validation():
 
 
 @pytest.mark.parametrize("tau", [[[1j * math.inf]], [[math.nan + 1j]],
-                                 [[1j, 0.0], [0.0, math.inf * 1j]]])
+                                 [[1j, 0.0], [0.0, math.inf * 1j]],
+                                 [[9e307j]], [[1e308j]], [[1e308 + 1j]]])
 def test_point_rejects_non_finite_entries(tau):
+    # Past half the binary64 range the sum of two entries overflows.
     with pytest.raises(NotUpperHalfSpace):
         siegel_point(tau)
+
+
+def test_large_finite_point_is_accepted():
+    assert theta_constant(characteristic(0, 0), siegel_point([[1e200j]])) == 1.0
 
 
 def test_non_positive_tolerance():
@@ -224,7 +230,7 @@ def test_lattice_is_the_ellipsoid(case):
     with mock.patch.object(theta, "_BLOCK", cap):
         blocks = list(theta._half_lattice(t, cuts))
     assert all(n.shape[1] <= cap and np.array_equal(z, theta._quad(t, n)) for n, z, _ in blocks)
-    class_coset = theta._class_tables(g)[2]
+    class_coset = theta._class_tables(g)[1]
     for n, z, cls in blocks:
         for col, qq, k in zip(n.T.tolist(), z.imag.tolist(), cls.tolist()):
             assert k == int("".join(str(int(x) % 4) for x in col), 4)
@@ -277,15 +283,30 @@ def test_quad_is_the_elementwise_form_to_rounding(case):
         assert np.array_equal(z, ref)       # the same two products, in the same order
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
-def test_even_table_is_cached_and_summed_alike(g):
-    evens = enumerate_even_mod2(g)
-    coset, phase = theta._even_tables(g)
-    assert theta._even_tables(g)[0] is coset and not phase.flags.writeable
-    fresh = theta._char_tables(evens)
-    assert np.array_equal(coset, fresh[0]) and np.array_equal(phase, fresh[1])
-    point = random_tau(g, seeded(67 + g))
-    assert theta_constants(evens, point) == theta._theta_values(coset, phase, point, 1e-12)
+_char_entries = st.one_of(st.integers(0, 1), st.integers(-5, 5), st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda g: st.tuples(
+           st.integers(0, 2 ** 32 - 1),
+           st.lists(st.lists(_char_entries, min_size=2 * g, max_size=2 * g),
+                    min_size=1, max_size=12))))
+def test_theta_rows_match_the_dense_product(case):
+    # Every binary row (odd ones too) and drawn characteristics, binary or
+    # not, up to +-2^70.  == compares each nonzero part bit for bit; an exact
+    # zero may carry either sign.
+    seed, vectors = case
+    g = len(vectors[0]) // 2
+    point = random_tau(g, seeded(seed))
+    binary = enumerate_mod2(g)
+    chars = binary + [Characteristic.from_vector(v) for v in vectors]
+    values = theta_constants(chars, point)
+    assert values == theta_dense_reference(chars, point)
+    assert all(values[m._row] == 0 for m in binary if not is_even(m))
+    for m, value in zip(chars, values):
+        b = m.mod2()
+        at_row = values[b._row]
+        assert value == (-at_row if sign_shift_exponent(b, delta(b, m)) else at_row)
 
 
 def test_batched_matches_single_characteristic():
@@ -296,6 +317,8 @@ def test_batched_matches_single_characteristic():
             chars = [Characteristic.from_vector([rng.randint(-3, 3) for _ in range(2 * g)])
                      for _ in range(8)] + enumerate_even_mod2(g)
             batch = theta_constants(chars, point)
+            assert theta_constants(iter(chars), point) == batch
+            assert theta_constants((m for m in chars), point) == batch
             for m, value in zip(chars, batch):
                 assert abs(value - theta_constant(m, point)) < 1e-14
 
@@ -449,7 +472,7 @@ def test_verify_igusa_product_requires_level2(monkeypatch):
     def no_theta(*args, **kwargs):
         raise AssertionError("theta work before the level-2 check")
 
-    monkeypatch.setattr("siegelchi.theta._theta_values", no_theta)
+    monkeypatch.setattr("siegelchi.theta._theta_rows", no_theta)
     zero = characteristic(0, 0)
     with pytest.raises(NotLevel2):
         verify_igusa_product(zero, zero, make_matrix([[1, 1], [0, 1]]), TAU_I)
@@ -566,7 +589,7 @@ def test_bad_image_is_not_upper_half_space(monkeypatch, inverse, message):
 
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_too_few_usable_comes_before_singular_factor(monkeypatch, sweep):
-    monkeypatch.setattr(theta, "_theta_values", lambda coset, *args: [0.0] * len(coset))
+    monkeypatch.setattr(theta, "_theta_rows", lambda rows, *args: [0.0] * len(rows))
     with pytest.raises(TooFewUsable):
         SWEEPS[sweep](SINGULAR, TAU_I2)
 
@@ -581,7 +604,7 @@ def test_product_extras_do_not_count_as_usable(monkeypatch):
     # classes are summed, and one of them above the floor is too few.
     m, n = characteristic(2, 0), characteristic(0, 2)
     assert verify_igusa_product(m, n, generator("B", 1, 1, 1), TAU_I).passed
-    monkeypatch.setattr(theta, "_theta_values", lambda coset, *args: [1.0, 0.0, 0.0])
+    monkeypatch.setattr(theta, "_theta_rows", lambda rows, *args: [1.0, 0.0, 0.0])
     with pytest.raises(TooFewUsable, match="only 1 theta"):
         verify_igusa_product(m, n, identity(1), TAU_I)
 
@@ -610,7 +633,7 @@ def test_product_degree_mismatch_comes_before_theta_work(monkeypatch, m, n):
     def no_theta(*args, **kwargs):
         raise AssertionError("theta work before the degree check")
 
-    monkeypatch.setattr(theta, "_theta_values", no_theta)
+    monkeypatch.setattr(theta, "_theta_rows", no_theta)
     with pytest.raises(DegreeMismatch):
         verify_igusa_product(m, n, identity(1), TAU_I)
 

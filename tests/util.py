@@ -19,6 +19,7 @@ from siegelchi import (Characteristic, NotLevel2, PhaseValue, SiegelChiError,
                        random_word, word_to_matrix)
 from siegelchi.errors import _check_degree
 from siegelchi.symplectic import _blocks, _generator_power, _random_word, alphabet
+from siegelchi.theta import _half_lattice, truncation_radius
 
 
 def generator_reference(kind, i, j, g):
@@ -292,6 +293,31 @@ def theta_box(chars, tau, digits=40):
             out.append(complex(sum(e * 1j ** int(sum(2 * a * int(b) for a, b in zip(v, m.m_double)) % 4)
                                    for v, e in terms[shift])))
     return out
+
+
+def theta_dense_reference(chars, point, tail_tol=1e-12):
+    """Theta constants as theta_constants read them before the +-1 transform:
+    per characteristic, a row of cos(pi n.m''/2) at every class n mod 4 of its
+    coset m' mod 2 and 0 at the classes of other cosets, times the class sums
+    of the same lattice pass, plus the 1 of n = 0 at coset 0."""
+    g = point.g
+    classes = np.indices((4,) * g).reshape(g, -1)
+    bits = 1 << np.arange(g - 1, -1, -1)
+    class_coset = bits @ (classes & 1)
+    x = np.array([v & 3 for m in chars for v in m.vector()]).reshape(len(chars), 2 * g)
+    coset = class_coset[x[:, :g] @ (bits * bits)]
+    phase = np.array([1.0, 0.0, -1.0, 0.0])[(x[:, g:] @ classes) & 3]
+    phase[coset[:, None] != class_coset] = 0.0
+    r = truncation_radius(None, point, tail_tol)
+    rho2 = np.full(2 ** g, -1.0)
+    rho2[coset] = point.im_min_eig * r * r
+    sums = np.zeros(4 ** g, dtype=complex)
+    for _, z, cls in _half_lattice(point.tau / 4.0, rho2):
+        size = np.exp(-math.pi * z.imag)
+        turn = math.pi * z.real
+        sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
+        sums += 1j * np.bincount(cls, size * np.sin(turn), 4 ** g)
+    return (phase[:, 0] + 2.0 * (phase @ sums)).tolist()
 
 
 def quad_reference(a, n):
