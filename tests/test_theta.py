@@ -309,6 +309,19 @@ def test_theta_rows_match_the_dense_product(case):
         assert value == (-at_row if sign_shift_exponent(b, delta(b, m)) else at_row)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_even_table_is_cached_and_summed_alike(g):
+    # The even rows are read through the per-g class tables, built once and
+    # read-only, and theta_constants sums them as _theta_rows does.
+    evens = enumerate_even_mod2(g)
+    tables = theta._class_tables(g)
+    assert theta._class_tables(g) is tables and not any(t.flags.writeable for t in tables)
+    rows, flips = theta._signed_rows(evens)
+    assert rows.tolist() == [m._row for m in evens] and not any(flips)
+    point = random_tau(g, seeded(67 + g))
+    assert theta_constants(evens, point) == theta._theta_rows(rows, point, theta.DEFAULT_TAIL_TOL)
+
+
 def test_batched_matches_single_characteristic():
     rng = seeded(65)
     for g in (1, 2, 3):
