@@ -26,11 +26,11 @@ from .characteristics import (Characteristic, act, enumerate_even_mod2,
 from .character import (EighthRoot, PhaseValue, chi, chi_exponents, chi_generator,
                         delta_sign_bit, extract_abelian_exponents,
                         is_chi_constant_over_even, phase_full, phase_level2)
-from .symplectic import (SymplecticMatrix, _generator_power, _int_matrix,
+from .symplectic import (SymplecticMatrix, _checked_symplectic, _generator_power,
                          _random_igusa48, _random_word, _residue8, alphabet,
                          congruent_to_identity, congruent_to_igusa48, generator,
-                         is_igusa48, is_igusa48_up_to_sign, make_matrix,
-                         multiply, random_word, word_to_matrix)
+                         is_igusa48, is_igusa48_up_to_sign, multiply, random_word,
+                         word_to_matrix)
 from .theta import (DEFAULT_TAIL_TOL, DEFAULT_TOL, SiegelPoint,
                     verify_character, verify_igusa_product)
 
@@ -47,9 +47,9 @@ EXIT_MISMATCH = 4
 TIGHTNESS_FACTOR = 10.0
 
 
-# Above this degree the 4^g-row tables of chi, decompose, table and verify outgrow memory:
-# at g = 7 verify's product sweep pairs 8256 even classes into about 34 M ratios and table
-# holds 105 x 16384 row dicts (g = 6 peaks at 1.0 and 0.8 GB); member and random build none.
+# Above this degree the 4^g-row tables of chi, decompose, table and verify outgrow memory: at
+# g = 7 verify's report holds about 34 M product ratios and labels, table 105 x 16384 row dicts
+# (g = 6 peaks at 0.55 and 0.8 GB); member and random build none.
 MAX_G = 6
 
 
@@ -179,12 +179,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_member(args) -> int:
-    data = _read_json(args.matrix)
-    if not isinstance(data, dict) or "m" not in data:
-        raise BadShape("matrix JSON needs an 'm' field")
-    raw = _int_matrix(data["m"])
+    raw = serialize.matrix_entries(_read_json(args.matrix))
     try:
-        make_matrix(raw)  # BadShape for an odd dimension
+        _checked_symplectic(raw)  # BadShape for an odd dimension
         sp = True
     except NotSymplectic:
         sp = False

@@ -9,11 +9,13 @@ Complex scalars: {"re": x, "im": y}
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import BadShape
 from .characteristics import Characteristic
 from .character import AbelianExponents, EighthRoot
-from .symplectic import (GeneratorWord, SymplecticMatrix, _int_entry,
-                         make_matrix, word)
+from .symplectic import (GeneratorWord, SymplecticMatrix, _checked_symplectic,
+                         _int_entry, _int_matrix, word)
 from .theta import SiegelPoint, VerificationReport
 
 
@@ -28,13 +30,19 @@ def matrix_to_dict(mat: SymplecticMatrix) -> dict:
     return {"g": mat.g, "m": [[int(x) for x in row] for row in mat.entries]}
 
 
-def matrix_from_dict(data: dict) -> SymplecticMatrix:
+def matrix_entries(data: dict) -> np.ndarray:
+    """The 'm' field of matrix JSON as a square object array of Python ints,
+    checked against 'g' where that is declared; not checked to be symplectic."""
     if not isinstance(data, dict) or "m" not in data:
         raise BadShape("matrix JSON needs an 'm' field")
-    mat = make_matrix(data["m"])
-    if "g" in data and _g_field(data) != mat.g:
-        raise BadShape(f"declared g={data['g']} but matrix has g={mat.g}")
-    return mat
+    raw = _int_matrix(data["m"])
+    if "g" in data and 2 * _g_field(data) != len(raw):
+        raise BadShape(f"declared g={data['g']} but the matrix is {len(raw)} x {len(raw)}")
+    return raw
+
+
+def matrix_from_dict(data: dict) -> SymplecticMatrix:
+    return _checked_symplectic(matrix_entries(data))
 
 
 def word_to_dict(w: GeneratorWord) -> dict:
@@ -72,8 +80,6 @@ def point_to_dict(point: SiegelPoint) -> dict:
 def point_from_dict(data: dict) -> SiegelPoint:
     if not isinstance(data, dict) or "re" not in data or "im" not in data:
         raise BadShape("point JSON needs 're' and 'im' fields")
-    import numpy as np
-
     try:
         re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -159,7 +159,11 @@ def make_matrix(entries) -> SymplecticMatrix:
     Raises BadShape for a non-square or odd-dimension input, NotSymplectic
     when a d^T - b c^T != I or a b^T, c d^T fail to be symmetric.
     """
-    mat = _int_matrix(entries)
+    return _checked_symplectic(_int_matrix(entries))
+
+
+def _checked_symplectic(mat: np.ndarray) -> SymplecticMatrix:
+    """make_matrix on an array that _int_matrix has already built."""
     n = mat.shape[0]
     if n % 2 != 0 or n == 0:
         raise BadShape(f"symplectic matrices have even dimension, got {n}")

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -52,10 +53,7 @@ class SiegelPoint:
             raise NotUpperHalfSpace(f"tau must be a complex matrix: {exc}") from exc
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise NotUpperHalfSpace(f"tau must be square and non-empty, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise NotUpperHalfSpace("tau has a non-finite entry")
-        if np.abs(mat.view(float)).max() > np.finfo(float).max / 2.0:
-            raise NotUpperHalfSpace("tau has an entry past half the binary64 range")
+        _check_range(mat, "tau")
         if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
             raise NotUpperHalfSpace("tau is not symmetric within 1e-12")
         point = cls(g=mat.shape[0], tau=mat)
@@ -65,6 +63,13 @@ class SiegelPoint:
 
     def __repr__(self):
         return f"SiegelPoint(g={self.g}, tau={self.tau.tolist()})"
+
+
+def _check_range(mat: np.ndarray, name: str):
+    """NotUpperHalfSpace unless every part of mat is finite and at most half the
+    binary64 maximum, so no two add to an overflow: one comparison, failed by NaN."""
+    if not np.abs(mat.view(float)).max() <= np.finfo(float).max / 2.0:
+        raise NotUpperHalfSpace(f"{name} has a non-finite entry or one past half the binary64 max")
 
 
 def siegel_point(tau) -> SiegelPoint:
@@ -179,11 +184,10 @@ def _quad(a: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _half_lattice(t: np.ndarray, rho2: np.ndarray):
-    """Yield one n of each pair +-n of nonzero points of Z^g with Im z <=
-    rho2[coset of cls], z = n.t.n, in blocks (n, z, cls) of about _BLOCK
-    points at most, n as float columns and cls its class mod 4, both indices
-    as in _class_tables.  The n kept is the one whose last nonzero coordinate
-    is positive.
+    """Yield, for one n of each pair +-n of nonzero points of Z^g with Im z <=
+    rho2[coset of cls], z = n.t.n and cls, its class n mod 4, in blocks (z, cls)
+    of about _BLOCK points at most, both indices as in _class_tables.  The n
+    taken is the one whose last nonzero coordinate is positive.
 
     With y = Im t = U^T U, U upper triangular, n.y.n = sum_i U_ii^2 (n_i -
     c_i)^2 and c_i = -sum_{j>i} U_ij n_j / U_ii: coordinates are fixed from
@@ -211,7 +215,7 @@ def _half_lattice(t: np.ndarray, rho2: np.ndarray):
     cols, z, cls = ni[None], t[k, k] * ni * ni, ni.astype(np.int64) & 3
     if k == 0:
         keep = z.imag <= cut[cls]
-        yield cols[:, keep], z[keep], cls[keep]
+        yield z[keep], cls[keep]
         return
     rest = top - (u[k, k] * ni) ** 2
     for i in range(k - 1, 0, -1):
@@ -227,13 +231,8 @@ def _half_lattice(t: np.ndarray, rho2: np.ndarray):
         ni, pick, _ = _extend(u, 0, cols[:, b], rest[b], 1.0 if a == 0 else None)
         zb = (t[0, 0] * ni + ell[b][pick]) * ni + z[b][pick]
         kb = weights[0] * (ni.astype(np.int64) & 3) + cls[b][pick]
-        n = np.concatenate((ni[None], cols[:, b].take(pick, axis=1)))
         keep = zb.imag <= cut[kb]
-        if keep.all():                          # every coset asked for, none on its edge
-            yield n, zb, kb
-        else:
-            keep = np.flatnonzero(keep)
-            yield n.take(keep, axis=1), zb.take(keep), kb.take(keep)
+        yield zb[keep], kb[keep]
 
 
 @lru_cache(maxsize=None)
@@ -242,10 +241,10 @@ def _class_tables(g: int) -> tuple:
     class's coset n mod 2 in binary digits, and at [b, j], [j, h] and [b, h]
     for binary b, j, h: the class b + 2j, (-1)^(j.h) and cos(pi b.h / 2)."""
     classes = np.indices((4,) * g).reshape(g, -1)
-    binary = np.indices((2,) * g).reshape(g, -1).T
-    bits = 1 << np.arange(g - 1, -1, -1)
-    dots = binary @ binary.T
-    tables = (bits * bits, bits @ (classes & 1), (binary[:, None] + 2 * binary) @ (bits * bits),
+    binary = np.indices((2,) * g).reshape(g, -1)
+    dots = binary.T @ binary
+    tables = (4 ** np.arange(g - 1, -1, -1), np.ravel_multi_index(classes & 1, (2,) * g),
+              np.ravel_multi_index(binary[:, :, None] + 2 * binary[:, None], (4,) * g),
               1.0 - 2.0 * (dots & 1), _COS_QUARTER[dots & 3])
     for t in tables:
         t.setflags(write=False)
@@ -253,13 +252,9 @@ def _class_tables(g: int) -> tuple:
 
 
 def _signed_rows(chars) -> tuple:
-    """The row of m mod 2 in enumerate_mod2 order of each characteristic, and
-    whether theta[m] = -theta[m mod 2]: (-1)^(m'.j'') with m'' = (m'' mod 2) +
-    2 j''.  Both see the entries mod 4 only, read with & 3 from one flat list."""
-    g = chars[0].g
-    x = np.array([v & 3 for m in chars for v in m.vector()]).reshape(len(chars), 2, g)
-    rows = (x & 1).reshape(len(chars), 2 * g) @ (1 << np.arange(2 * g - 1, -1, -1))
-    return rows, (np.sum((x[:, 0] & 1) * (x[:, 1] >> 1), axis=1) & 1).astype(bool).tolist()
+    """m._row of each m and whether theta[m] = -theta[m mod 2]: m'.(m'' >> 1) odd."""
+    return ([m._row for m in chars],
+            [sum(p & (q >> 1) for p, q in zip(m.m_prime, m.m_double)) & 1 for m in chars])
 
 
 def _theta_rows(rows, point: SiegelPoint, tail_tol: float) -> list:
@@ -270,8 +265,10 @@ def _theta_rows(rows, point: SiegelPoint, tail_tol: float) -> list:
     r = truncation_radius(None, point, tail_tol)
     rho2 = np.full(2 ** g, -1.0)                # cosets no row asks for stay empty
     rho2[np.asarray(rows) >> g] = point.im_min_eig * r * r
+    tau = point.tau.copy()
+    tau.real = np.fmod(tau.real, 8.0)
     sums = np.zeros(4 ** g, dtype=complex)
-    for _, z, cls in _half_lattice(point.tau / 4.0, rho2):
+    for z, cls in _half_lattice(tau / 4.0, rho2):
         size = np.exp(-math.pi * z.imag)
         turn = math.pi * z.real
         sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
@@ -293,7 +290,9 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
     With n = 2v, the coset is the set of n in Z^g with n = m' mod 2, and
     v.tau.v = n.(tau/4).n: tau/4 is exact, as scaling by a power of two is,
     and the enumerator forms z = n.(tau/4).n once per point, Im z for the cut
-    and the modulus, Re z for the turn.
+    and the modulus, Re z for the turn, with Re tau read mod 8 by np.fmod, exact
+    and the identity on |x| < 8: moving one entry by 8k turns each term by exp(2
+    pi i k n_i n_j) = 1, for a tau symmetric or not, and keeps pi Re z small.
 
     n -> -n maps a coset to itself, keeps z and conjugates exp(pi i v.m'') =
     i^(n.m''), so a pair +-n adds 2 exp(-pi Im z) exp(pi i Re z) cos(pi n.m''
@@ -328,9 +327,10 @@ def theta_constant(m: Characteristic, point: SiegelPoint,
 
 def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
     """(M tau, det(c tau + d)) from one c tau + d, checked once for
-    conditioning; M tau = (a tau + b)(c tau + d)^-1, re-symmetrized, which
-    makes it exactly symmetric, and checked to be finite with Im(M tau)
-    positive definite (NotUpperHalfSpace, as is an entry of M past binary64)."""
+    conditioning; M tau = (a tau + b)(c tau + d)^-1, range-checked as tau is,
+    then re-symmetrized as out/2 + out^T/2: exactly symmetric, (out + out^T)/2
+    bit for bit for normal numbers, and free of overflow; Im(M tau) positive
+    definite (NotUpperHalfSpace, as is an entry of M past binary64)."""
     _check_degree(mat, point)
     try:
         g, e = point.g, mat.entries.astype(float)
@@ -340,10 +340,8 @@ def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
     if np.linalg.cond(den) > COND_LIMIT:
         raise SingularFactor("c tau + d is numerically singular")
     out = (e[:g, :g] @ point.tau + e[:g, g:]) @ np.linalg.inv(den)
-    out = (out + out.T) / 2.0
-    if not np.isfinite(out).all():
-        raise NotUpperHalfSpace("M tau has a non-finite entry")
-    moved = SiegelPoint(g=g, tau=out)
+    _check_range(out, "M tau")
+    moved = SiegelPoint(g=g, tau=out / 2.0 + out.T / 2.0)
     if moved.im_min_eig <= 0.0:
         raise NotUpperHalfSpace("Im(M tau) is not positive definite")
     return moved, complex(np.linalg.det(den))
@@ -505,16 +503,17 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     chars, _, evens = _mod2_table(mat.g)
     kept, vals, image, det = _sweep(mat, point, evens, tail_tol)
     rows = [evens[i] for i in kept]
-    where = {r: i for i, r in enumerate(rows)}
-    if m._row not in where or n._row not in where:
+    if m._row not in rows or n._row not in rows:
         raise TooFewUsable("requested characteristic below the theta floor")
-    tops = _theta_rows(rows, image, tail_tol)
-    k = [ks[r] for r in rows]
-    pairs = {}
-    for a, b in [(where[m._row], where[n._row])] + [
-            (s, t) for s in range(len(rows)) for t in range(s, len(rows))]:
-        pairs.setdefault((min(a, b), max(a, b)), (a, b))
+    first = (rows.index(m._row), rows.index(n._row))
+    tops, k = _theta_rows(rows, image, tail_tol), [ks[r] for r in rows]
+
+    def pairs():        # the requested pair, then every other unordered pair once
+        yield first
+        skip = tuple(sorted(first))
+        yield from (p for p in combinations_with_replacement(range(len(rows)), 2) if p != skip)
+
     ratios = [(tops[a] * tops[b]) / (det * vals[a] * vals[b] * _ROOT_VALUES[(k[a] + k[b]) % 8])
-              for a, b in pairs.values()]
-    return _assemble_report([(chars[rows[a]], chars[rows[b]]) for a, b in pairs.values()],
+              for a, b in pairs()]
+    return _assemble_report([(chars[rows[a]], chars[rows[b]]) for a, b in pairs()],
                             ratios, tol, unit_power=4)

@@ -97,6 +97,18 @@ def test_parse_errors_exit_2_without_traceback(tmp_path, capsys, payload, argv):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("payload", [{"g": 5, "m": [[1, 2], [0, 1]]},
+                                     {"g": True, "m": [[1, 2], [0, 1]]}],
+                         ids=["wrong-g", "boolean-g"])
+@pytest.mark.parametrize("argv", [["chi", "--char", "0,0"], ["member"], ["decompose"]],
+                         ids=["chi", "member", "decompose"])
+def test_declared_g_is_checked_by_every_matrix_reader(tmp_path, capsys, payload, argv):
+    path = write(tmp_path, "m.json", payload)
+    code, out, err = run(capsys, *argv, "--matrix", path)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 UNDECODABLE = {"non-utf8": b'{"g": 1, "m": \xff}', "deep-nesting": b"[" * 100000}
 
 

@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import warnings
+from collections import Counter
 from unittest import mock
 
 import mpmath
@@ -65,6 +67,54 @@ def test_point_rejects_non_finite_entries(tau):
 
 def test_large_finite_point_is_accepted():
     assert theta_constant(characteristic(0, 0), siegel_point([[1e200j]])) == 1.0
+
+
+@pytest.mark.parametrize("re", [1e300, 4e307])
+def test_real_part_is_read_mod_8(re):
+    # re is a multiple of 8 in binary64, so tau is i + 8k: theta is its value
+    # at i bit for bit, and finite, with no RuntimeWarning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = theta_constant(characteristic(0, 0), siegel_point([[re + 1j]]))
+    assert value == theta_constant(characteristic(0, 0), TAU_I) and cmath.isfinite(value)
+
+
+def test_translation_past_binary64_precision_verifies():
+    # B(1, 1)^(2 10^307) sends i to i + 4e307, a multiple of 8.
+    mat = word_to_matrix(word(1, [("B", 1, 1, 2 * 10 ** 307)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_character(mat, TAU_I).passed
+
+
+_dyadic = st.integers(0, 255).map(lambda k: k / 64.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda g: st.tuples(
+           st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.lists(_dyadic, min_size=g * g, max_size=g * g),
+           st.lists(st.integers(-20, 20), min_size=g * g, max_size=g * g),
+           st.lists(st.integers(0, 2 ** 40), min_size=g * g, max_size=g * g))))
+def test_theta_is_periodic_by_8_in_re_tau(case):
+    # theta(tau + 8S) = theta(tau) for integral symmetric S: bit for bit when
+    # S >= 0 and Re tau is dyadic in [0, 4), as then fmod returns Re tau
+    # itself; to 1e-12 for a small S of either sign and any Re tau.
+    seed, exact, dyadic, small, large = case
+    g = math.isqrt(len(dyadic))
+    base = random_tau(g, seeded(seed)).tau
+    if exact:
+        re, s = np.array(dyadic).reshape(g, g), np.array(large).reshape(g, g)
+    else:
+        re, s = base.real, np.array(small).reshape(g, g)
+    re, s = np.triu(re) + np.triu(re, 1).T, np.triu(s) + np.triu(s, 1).T
+    chars = enumerate_mod2(g)
+    before = theta_constants(chars, siegel_point(re + 1j * base.imag))
+    after = theta_constants(chars, siegel_point(re + 8.0 * s + 1j * base.imag))
+    if exact:
+        assert after == before
+    else:
+        assert max(abs(p - q) for p, q in zip(after, before)) <= 1e-12
 
 
 def test_non_positive_tolerance():
@@ -216,10 +266,11 @@ _radii = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0))
            st.lists(_entries, min_size=g * g, max_size=g * g))))
 def test_lattice_is_the_ellipsoid(case):
     # t = tau/4; coset `bits` (n = bits mod 2, n = 2v) gets radius rho2, every
-    # other coset `other` (-1: empty).  The blocks must hold one of each pair
-    # +-n != 0 of the brute-force box filter, by the same bits of Im n.t.n, 0
-    # never, each with z = _quad(t, n) bit for bit and with its class n mod 4
-    # and that class's coset within its cut.
+    # other coset `other` (-1: empty).  The blocks hold at most `cap` points,
+    # each within the cut of its class's coset, and their (z, class n mod 4)
+    # are, bit for bit and as a multiset, those of the brute-force box filter
+    # with one of each pair +-n != 0 (its last nonzero coordinate positive)
+    # and z = _quad(t, n): all that the theta sums read.
     entries, boost, bits, rho2, other, cap, real = case
     g = len(bits)
     a, x = np.array(entries).reshape(g, g), np.array(real).reshape(g, g)
@@ -229,25 +280,21 @@ def test_lattice_is_the_ellipsoid(case):
     cuts[int("".join(map(str, bits)), 2)] = rho2
     with mock.patch.object(theta, "_BLOCK", cap):
         blocks = list(theta._half_lattice(t, cuts))
-    assert all(n.shape[1] <= cap and np.array_equal(z, theta._quad(t, n)) for n, z, _ in blocks)
     class_coset = theta._class_tables(g)[1]
-    for n, z, cls in blocks:
-        for col, qq, k in zip(n.T.tolist(), z.imag.tolist(), cls.tolist()):
-            assert k == int("".join(str(int(x) % 4) for x in col), 4)
-            coset = int("".join(str(int(x) % 2) for x in col), 2)
-            assert class_coset[k] == coset and qq <= cuts[coset]
-    half = [tuple(col) for n, _, _ in blocks for col in n.T.tolist()]
-    assert len(half) == len(set(half))
-    assert all([x for x in col if x][-1] > 0 for col in half)      # so 0 is never listed
-    mirror = {tuple(-x for x in col) for col in half}
-    assert not mirror & set(half)
+    for z, cls in blocks:
+        assert len(z) == len(cls) <= cap and np.all(z.imag <= cuts[class_coset[cls]])
+    listed = sorted((w.real, w.imag, k) for z, cls in blocks
+                    for w, k in zip(z.tolist(), cls.tolist()))
     reach = math.ceil(math.sqrt(max(rho2, other) / np.linalg.eigvalsh(y)[0])) + 1
     box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=g))).T
-    q = theta._quad(t, box.astype(float)).imag
-    assert np.allclose(q, np.einsum("in,ij,jn->n", box, y, box), rtol=1e-13, atol=0.0)
-    inside = box[:, q <= cuts[(box % 2).T @ (1 << np.arange(g - 1, -1, -1))]]
-    zero = {(0,) * g} if cuts[0] >= 0.0 else set()
-    assert set(half) | mirror | zero == {tuple(col) for col in inside.T.tolist()}
+    q = theta._quad(t, box.astype(float))
+    assert np.allclose(q.imag, np.einsum("in,ij,jn->n", box, y, box), rtol=1e-13, atol=0.0)
+    last = box[g - 1 - np.argmax(box[::-1] != 0, axis=0), np.arange(box.shape[1])]
+    coset = (box % 2).T @ (2 ** np.arange(g - 1, -1, -1))
+    keep = (last > 0) & (q.imag <= cuts[coset])
+    classes = (box % 4).T @ (4 ** np.arange(g - 1, -1, -1))
+    assert listed == sorted(zip(q.real[keep].tolist(), q.imag[keep].tolist(),
+                                classes[keep].tolist()))
 
 
 _parts = st.floats(-4.0, 4.0, allow_subnormal=False)
@@ -317,7 +364,7 @@ def test_even_table_is_cached_and_summed_alike(g):
     tables = theta._class_tables(g)
     assert theta._class_tables(g) is tables and not any(t.flags.writeable for t in tables)
     rows, flips = theta._signed_rows(evens)
-    assert rows.tolist() == [m._row for m in evens] and not any(flips)
+    assert rows == [m._row for m in evens] and not any(flips)
     point = random_tau(g, seeded(67 + g))
     assert theta_constants(evens, point) == theta._theta_rows(rows, point, theta.DEFAULT_TAIL_TOL)
 
@@ -649,6 +696,37 @@ def test_product_degree_mismatch_comes_before_theta_work(monkeypatch, m, n):
     monkeypatch.setattr(theta, "_theta_rows", no_theta)
     with pytest.raises(DegreeMismatch):
         verify_igusa_product(m, n, identity(1), TAU_I)
+
+
+def test_image_past_half_binary64_is_not_upper_half_space():
+    # M i = i + 10^308: past half the binary64 maximum, rejected before the
+    # re-symmetrization could overflow.
+    mat = word_to_matrix(word(1, [("B", 1, 1, 5 * 10 ** 307)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUpperHalfSpace, match="binary64"):
+            mobius(mat, siegel_point([[1j]]))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_product_sweep_walks_each_pair_once(g):
+    # The requested pair first, read mod 2, then every other unordered pair of
+    # usable even classes once: K (K + 1) / 2 ratios, the diagonal included.
+    mat = word_to_matrix(random_word(g, 3, 96 + g))
+    point = random_tau(g, seeded(97 + g))
+    evens = enumerate_even_mod2(g)
+    kept = [m for m, v in zip(evens, theta_constants(evens, point)) if abs(v) > THETA_FLOOR]
+    size = len(kept) * (len(kept) + 1) // 2
+    lift = Characteristic.from_vector([2, -4] * g)
+    for m, n in [(kept[-1], kept[-1]), (kept[-1], kept[0]), (kept[0], kept[-1]),
+                 (shift(kept[-1], lift), shift(kept[0], lift))]:
+        report = verify_igusa_product(m, n, mat, point)
+        assert report.passed and report.m_list[0] == (m.mod2(), n.mod2())
+        assert len(report.ratios) == len(report.m_list) == size
+        seen = Counter(tuple(sorted((a._row, b._row))) for a, b in report.m_list)
+        assert set(seen.values()) == {1}
+        assert set(seen) == set(itertools.combinations_with_replacement(
+            sorted(m._row for m in kept), 2))
 
 
 # B(1, 1)^(10^400) is level 2, and 10^400 overflows binary64.

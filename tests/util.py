@@ -312,7 +312,7 @@ def theta_dense_reference(chars, point, tail_tol=1e-12):
     rho2 = np.full(2 ** g, -1.0)
     rho2[coset] = point.im_min_eig * r * r
     sums = np.zeros(4 ** g, dtype=complex)
-    for _, z, cls in _half_lattice(point.tau / 4.0, rho2):
+    for z, cls in _half_lattice(point.tau / 4.0, rho2):
         size = np.exp(-math.pi * z.imag)
         turn = math.pi * z.real
         sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
