@@ -6,9 +6,11 @@ The level-2 congruence subgroup of the integral symplectic group is generated
 by three families of elementary matrices.  For a fixed integer characteristic
 m, the map M -> chi(m, M) is a character valued in eighth roots of unity, and
 on the generators it collapses to tiny closed forms.  This demo evaluates the
-character both ways, through the matrix kernel (the phase and sign read off
-M mod 8, see character._chi_rows) and through the closed forms, and prints
-the degree-1 table.
+character both ways, through the matrix kernel (the phase and sign of all
+4^g binary characteristics as one exact product of a fixed map, built once per
+degree, with the entries of M mod 8 and their pairwise products; see
+character._chi_rows and character._chi_map) and through the closed forms, and
+prints the degree-1 table.
 """
 
 import itertools

@@ -136,29 +136,79 @@ def _basis(g: int) -> tuple:
     chi_generator; 4 m'_i = 4 m'_i^2 mod 8), so e_n counts mod 8/|coef_n|.
 
     Returns the letters (kind, i, j), 1-based, as a dict to their n; x, y
-    (indices into m.vector()) and coef as tuples of Python ints; the read-only
-    4^g x g(2g+1) int64 table of m_x m_y at the binary characteristics in
-    enumerate_mod2 order; and fold, two read-only g(2g+1) x 2 index arrays, the
-    two gathers that add _chi_rows's coefficients C onto each monomial."""
-    rows = 3 * g * g + g            # each column of C: [p x p | q x q | p x q | p]
-    gg = g * g
+    (indices into m.vector()) and coef as tuples of Python ints; and the
+    read-only 4^g x g(2g+1) int64 table of m_x m_y at the binary
+    characteristics in enumerate_mod2 order."""
     upper = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    terms = ([("A", i, j, i, g + j, 4, 2 * gg + i * g + j, None)
-              for i in range(g) for j in range(g)]
-             + [("B", i, i, i, i, 2, i * g + i, 3 * gg + i) for i in range(g)]
-             + [("B", i, j, i, j, 4, i * g + j, j * g + i) for i, j in upper]
-             + [("C", i, i, g + i, g + i, -2, gg + i * g + i, None) for i in range(g)]
-             + [("C", i, j, g + i, g + j, 4, gg + i * g + j, gg + j * g + i)
-                for i, j in upper])
-    # letter, x, y, coef, and C's rows for m_x m_y: (x, y), then (y, x) or p_i
-    kinds, i, j, x, y, coef, first, second = zip(*terms)
+    terms = ([("A", i, j, i, g + j, 4) for i in range(g) for j in range(g)]
+             + [("B", i, i, i, i, 2) for i in range(g)]
+             + [("B", i, j, i, j, 4) for i, j in upper]
+             + [("C", i, i, g + i, g + i, -2) for i in range(g)]
+             + [("C", i, j, g + i, g + j, 4) for i, j in upper])
+    kinds, i, j, x, y, coef = zip(*terms)
     table = _mod2_table(g)[1][:, [x, y]].prod(1)
-    fold = tuple(np.array([(2 * rows,) * 2 if r is None else (r, rows + r) for r in rs])
-                 for rs in (first, second))     # C's two columns, then its trailing 0
-    for t in (table, *fold):
-        t.setflags(write=False)
+    table.setflags(write=False)
     letters = {(k, a + 1, b + 1): n for n, (k, a, b) in enumerate(zip(kinds, i, j))}
-    return letters, x, y, coef, table, fold
+    return letters, x, y, coef, table
+
+
+@functools.lru_cache(maxsize=None)
+def _chi_map(g: int) -> tuple:
+    """The chi kernel as one fixed bilinear map of M mod 8.  Returns the
+    read-only float32 matrix W, 2 4^g x P, and the read-only index arrays X, Y
+    of its P monomials: with f = [1, M mod 8 flattened row by row], the
+    product v = W (f[X] f[Y]) is, mod 8, k of _chi_rows in rows 0 .. 4^g - 1
+    and t in the rest, at the binary characteristics p = m', q = m'' in
+    enumerate_mod2 order.
+
+    From the two columns of _chi_rows, with the (a b^T)_0 terms cancelled in
+    k = t - num,
+
+        k = -2 p.q + 2 p.b^T.p + 2 p.d^T.q - p.(b^T d).p - q.(a^T c).q,
+        t = -2 p.q + 2 p.b^T.p + 2 p.d^T.q - 2 (a b^T)_0.p,
+
+    so each coefficient of k and t is a constant, one entry of M, or a sum
+    of products of two entries.  The monomials, in W's column order, and
+    their coefficients at the row of (p, q):
+
+        1            k, t: -2 sum_i p_i q_i
+        b_ji         k, t: 2 p_i p_j              (i, j) in row order
+        d_ji         k, t: 2 p_i q_j
+        a_ij b_ij    t: -2 p_i
+        b_li d_lj    k: -p_i p_j                  (l, i, j) in row order
+        a_li c_lj    k: -q_i q_j
+
+    so P = 1 + 3 g^2 + 2 g^3.  W holds each coefficient reduced to 0..7, so
+    v is k and t plus multiples of 8.
+
+    Float32 is exact here.  Every entry of W is an integer in 0..7 and every
+    product f[X] f[Y] one in 0..49, so each of v's terms is an integer in
+    0..343 and, all terms being nonnegative, every partial sum in whatever
+    order the product adds them is at most 343 P: 29k at g = 3 and 186k at
+    g = 6, below 2^24, up to which float32 holds every integer, for every
+    g <= 28.  W takes 42 KB at g = 3 and 17.7 MB at g = 6.
+    """
+    n, rows, gg = 2 * g, 4 ** g, g * g
+    bits = _mod2_table(g)[1].astype(np.float32)
+    p, q = bits[:, :g, None], bits[:, g:, None]
+    pp, pq, qq = p * p.mT, p * q.mT, q * q.mT       # p_i p_j, p_i q_j, q_i q_j at each row
+    a, b, c, d = _blocks(1 + np.arange(n * n).reshape(n, n))   # the index of each entry in f
+    cube = (g, g, g)
+    x = np.concatenate((np.zeros(1 + 2 * gg, int), a, np.broadcast_to(b[:, :, None], cube),
+                        np.broadcast_to(a[:, :, None], cube)), axis=None)
+    y = np.concatenate((0, b.T, d.T, b, np.broadcast_to(d[:, None], cube),
+                        np.broadcast_to(c[:, None], cube)), axis=None)
+    w = np.zeros((2, rows, len(x)), np.float32)
+    k, t = w
+    k[:, 0] = t[:, 0] = -2 * pq.trace(axis1=1, axis2=2) % 8
+    k[:, 1:1 + 2 * gg] = t[:, 1:1 + 2 * gg] = 2 * np.concatenate((pp, pq), 1).reshape(rows, -1)
+    t[:, 1 + 2 * gg:1 + 3 * gg] = np.repeat(6 * p[:, :, 0], g, axis=1)
+    for start, form in ((1 + 3 * gg, pp), (1 + 3 * gg + g ** 3, qq)):
+        k[:, start:start + g ** 3] = np.tile(7 * form.reshape(rows, gg), g)
+    w = w.reshape(2 * rows, -1)
+    for out in (w, x, y):
+        out.setflags(write=False)
+    return w, x, y
 
 
 def _chi_rows(mat: SymplecticMatrix) -> tuple:
@@ -192,26 +242,21 @@ def _chi_rows(mat: SymplecticMatrix) -> tuple:
       Expanded, t = 2 p.b^T.p + 2 p.(d^T - I).q - 2 (a b^T)_0.p: column
       [2 b^T, 0, 2 (d^T - I), -2 (a b^T)_0].
 
-    On bits p_i^2 = p_i, so the (i, j) and (j, i) entries of a column, and
-    p_i p_i with p_i, add onto one monomial of _basis: C, its two columns and
-    one trailing 0 in one flat array, folds onto the basis by two gathers, and
-    (t, num) is one product with the basis table.  Then k = 4 s - num = t - num
-    mod 8, where the (a b^T)_0 terms cancel.  C is read off the matrix's one
-    residue mat._m8, so every coefficient is below 64 g in size and nothing
-    overflows however large M is.  Raises NotLevel2 unless M = I mod 2.
+    Then k = 4 s - num = t - num mod 8.  Both k and t are sums of products of
+    at most two entries of M mod 8, one exact product with the fixed map of
+    _chi_map, read off the matrix's one residue mat._m8, so nothing overflows
+    however large M is.  Raises NotLevel2 unless M = I mod 2.
     """
-    g = mat.g
-    if not congruent_to_identity(mat._m8, 2):
+    m8 = mat._m8
+    if not congruent_to_identity(m8, 2):
         raise NotLevel2("matrix not congruent to I mod 2")
-    a, b, c, d = _blocks(mat._m8)
-    table, (first, second) = _basis(g)[4:]
-    ab0 = -2 * (a * b).sum(1)
-    zero = 0 * b
-    cols = np.concatenate((2 * b.T, zero, 2 * d.T, ab0, b.T @ d, a.T @ c, zero, ab0, 0),
-                          axis=None)
-    cols[2 * g * g:3 * g * g:g + 1] -= 2        # the diagonal of 2 (d^T - I)
-    t, num = (table @ (cols[first] + cols[second])).T
-    return (t - num) % 8, t % 8 // 4
+    w, x, y = _chi_map(mat.g)
+    f = np.empty(m8.size + 1, w.dtype)
+    f[0], f[1:] = 1, m8.ravel()
+    v = (w @ (f[x] * f[y])).astype(np.int64)
+    v %= 8
+    n = len(v) // 2
+    return v[:n], v[n:] >> 2
 
 
 def _chi_table(mat: SymplecticMatrix) -> tuple:
@@ -220,31 +265,31 @@ def _chi_table(mat: SymplecticMatrix) -> tuple:
     2.  Built on the first request and kept read-only in the instance dict of the
     immutable mat, as functools.cached_property would; a matrix that is not level
     2 gets none, so every request on it raises NotLevel2."""
-    table = vars(mat).get("_chi_table")
+    table = mat.__dict__.get("_chi_table")
     if table is None:
         k, s = _chi_rows(mat)
         k.setflags(write=False)
         s.setflags(write=False)
-        table = vars(mat)["_chi_table"] = k, s, tuple(_ROOTS[x] for x in k.tolist())
+        table = mat.__dict__["_chi_table"] = k, s, operator.itemgetter(*k.tolist())(_ROOTS)
     return table
-
-
-def _row(m: Characteristic, mat: SymplecticMatrix) -> int:
-    """Index of m mod 2 in enumerate_mod2 order, after the degree check."""
-    _check_degree(m, mat)
-    return m._row
 
 
 def chi(m: Characteristic, mat: SymplecticMatrix) -> EighthRoot:
     """Character value e(phase) * (-1)^(m'.delta'') at a level-2 matrix, for
     every integer characteristic, odd ones included; see _chi_rows."""
-    return _chi_table(mat)[2][_row(m, mat)]
+    table = mat.__dict__.get("_chi_table") or _chi_table(mat)
+    if m.g != mat.g:
+        _check_degree(m, mat)
+    return table[2][m._row]
 
 
 def delta_sign_bit(m: Characteristic, mat: SymplecticMatrix) -> int:
     """Bit s with (-1)^s the correction sign in the character formula:
     s = m'.delta'' mod 2, see _chi_rows."""
-    return int(_chi_table(mat)[1][_row(m, mat)])
+    table = mat.__dict__.get("_chi_table") or _chi_table(mat)
+    if m.g != mat.g:
+        _check_degree(m, mat)
+    return int(table[1][m._row])
 
 
 def chi_exponents(mat: SymplecticMatrix) -> np.ndarray:
@@ -350,7 +395,7 @@ def _exponent_tables(g: int) -> tuple:
     A e = chi_from_exponents mod 8 at the binary characteristics in
     enumerate_mod2 order.
     """
-    _, x, y, coef, table, _ = _basis(g)
+    _, x, y, coef, table = _basis(g)
     unit = 1 << np.arange(2 * g - 1, -1, -1)      # row of each one-bit characteristic
     probe = np.zeros((len(coef), 4 ** g), dtype=np.int64)
     for n, (s, t, c) in enumerate(zip(x, y, coef)):

@@ -18,10 +18,10 @@ from siegelchi import (AbelianExponents, BadShape, Characteristic, DegreeMismatc
                        matrix_power, multiply, phase_full, phase_level2,
                        random_igusa48, random_word, shift, word,
                        word_exponents, word_to_matrix)
-from siegelchi import character
+from siegelchi import SymplecticMatrix, character
 from siegelchi.symplectic import alphabet, congruent_to_identity
 
-from util import chi_reference, random_level2, seeded
+from util import chi_reference, chi_rows_reference, random_level2, seeded
 
 
 def all_binary(g):
@@ -173,6 +173,16 @@ def test_chi_degree_mismatch():
         chi(m, b11)
 
 
+def test_level2_is_checked_before_the_degree():
+    bad = make_matrix([[1, 1], [0, 1]])
+    for lookup in (chi, delta_sign_bit):
+        with pytest.raises(NotLevel2):
+            lookup(characteristic(1, 0, 0, 0), bad)
+        with pytest.raises(DegreeMismatch, match="^degrees differ: Characteristic has g=2, "
+                                                 "SymplecticMatrix has g=1$"):
+            lookup(characteristic(1, 0, 0, 0), identity(1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 10**9), st.integers(0, 10), st.data())
 def test_chi_reads_the_cached_row(g, seed, length, data):
@@ -292,6 +302,54 @@ def test_kernel_invariant_under_gamma8(g, seed, length, data):
     assert chi_exponents(moved).tolist() == chi_exponents(mat).tolist()
     for m in enumerate_mod2(g) + extra:
         assert chi_reference(m, moved) == chi_reference(m, mat)
+
+
+def identity_mod2(g):
+    """Integer matrices = I mod 2, symplectic or not, with entries up to 2^70 in
+    size, built with SymplecticMatrix directly: the kernel reads M mod 8 alone."""
+    half = st.integers(-4, 4) | st.integers(-2**69, 2**69)
+    return st.lists(half, min_size=4 * g * g, max_size=4 * g * g).map(
+        lambda xs: SymplecticMatrix(g=g, entries=np.eye(2 * g, dtype=object)
+                                    + 2 * np.array(xs, dtype=object).reshape(2 * g, 2 * g)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_kernel_product_matches_the_column_kernel(g, data):
+    mat = data.draw(identity_mod2(g))
+    k, s = character._chi_rows(mat)
+    ref_k, ref_s = chi_rows_reference(mat)
+    assert k.dtype == s.dtype == np.int64
+    assert k.tolist() == ref_k.tolist() and s.tolist() == ref_s.tolist()
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_chi_map_is_exact_in_its_dtype(g):
+    # Entries of W in 0..7 and products of two entries of M mod 8 in 0..49: every
+    # term is in 0..343, so every partial sum of v is at most 343 P.
+    w, x, y = character._chi_map(g)
+    size = 1 + 3 * g * g + 2 * g ** 3
+    assert w.shape == (2 * 4 ** g, size) and x.shape == y.shape == (size,)
+    assert not (w.flags.writeable or x.flags.writeable or y.flags.writeable)
+    assert w.min() >= 0 and w.max() <= 7 and not np.modf(w)[0].any()
+    assert 0 <= min(x.min(), y.min()) and max(x.max(), y.max()) <= (2 * g) ** 2
+    assert 343 * size <= 2 ** (np.finfo(w.dtype).nmant + 1)
+
+
+def test_kernel_is_a_homomorphism_on_every_level2_residue_at_g1():
+    # Gamma(2)/Gamma(8) at g = 1: the residues mod 8 that are I mod 2 with det 1.
+    residues = np.array([r for r in itertools.product(range(8), repeat=4)
+                         if r[0] % 2 == r[3] % 2 == 1 and r[1] % 2 == r[2] % 2 == 0
+                         and (r[0] * r[3] - r[1] * r[2]) % 8 == 1]).reshape(-1, 2, 2)
+    assert len(residues) == 64
+    mats = [SymplecticMatrix(g=1, entries=np.array(r.tolist(), dtype=object)) for r in residues]
+    ks = np.array([character._chi_rows(mat)[0] for mat in mats])
+    code = np.zeros(8 ** 4, dtype=np.int64)
+    digits = np.array([512, 64, 8, 1])
+    code[residues.reshape(-1, 4) @ digits] = np.arange(64)
+    products = np.einsum("aij,bjk->abik", residues, residues) % 8
+    at = code[products.reshape(64, 64, 4) @ digits]
+    assert (ks[at] == (ks[:, None] + ks[None, :]) % 8).all()
 
 
 # ---------------------------------------------------------------------------

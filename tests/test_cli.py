@@ -399,6 +399,7 @@ def no_tables(monkeypatch):
         raise AssertionError(f"a 4^{g}-row table was built")
 
     monkeypatch.setattr(character, "_basis", no_basis)
+    monkeypatch.setattr(character, "_chi_map", no_basis)
 
 
 @pytest.mark.parametrize("command", ABOVE_CAP)

@@ -260,6 +260,28 @@ def chi_reference(m, mat):
     return (phase_level2_reference(m, mat).eighths + 4 * s) % 8, s
 
 
+def chi_rows_reference(mat):
+    """The C-column kernel: (k, s) of chi at every binary characteristic
+    (p, q) in enumerate_mod2 order, as int64 arrays, from the two coefficient
+    columns that character._chi_rows derives for num and t over the monomials
+    [p x p | q x q | p x q | p], read off M mod 8 in object arithmetic and
+    summed against each row's monomials: s = (t mod 8)/4, k = (t - num) mod 8."""
+    if not congruent_to_identity_reference(mat.entries, 2):
+        raise NotLevel2("matrix not congruent to I mod 2")
+    g = mat.g
+    a, b, c, d = _blocks(mat.entries % 8)
+    ab0 = -2 * (a * b).sum(1)
+    zero = 0 * b
+    t = np.concatenate((2 * b.T, zero, 2 * (d.T - np.eye(g, dtype=object)), ab0), axis=None)
+    num = np.concatenate((b.T @ d, a.T @ c, zero, ab0), axis=None)
+    bits = np.array(list(itertools.product((0, 1), repeat=2 * g)), dtype=object)
+    p, q = bits[:, :g, None], bits[:, g:, None]
+    monomials = np.concatenate([(p * p.mT).reshape(4 ** g, -1), (q * q.mT).reshape(4 ** g, -1),
+                                (p * q.mT).reshape(4 ** g, -1), p[:, :, 0]], axis=1)
+    t, num = monomials @ t, monomials @ num
+    return ((t - num) % 8).astype(np.int64), (t % 8 // 4).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Reference oracle for theta constants: the plain box sum in mpmath
 # ---------------------------------------------------------------------------
