@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
 import random
@@ -48,8 +49,8 @@ TIGHTNESS_FACTOR = 10.0
 
 
 # Above this degree the 4^g-row tables of chi, decompose, table and verify outgrow memory: at
-# g = 7 verify's report holds about 34 M product ratios and labels, table 105 x 16384 row dicts
-# (g = 6 peaks at 0.55 and 0.8 GB); member and random build none.
+# g = 7 verify's report holds about 34 M product ratios and labels (g = 6 peaks at 0.55 GB), and
+# table 105 x 16384 row dicts (0.19 GB for 78 x 4096 at g = 6); member and random build none.
 MAX_G = 6
 
 
@@ -88,6 +89,9 @@ class RunConfig:
 # I/O helpers
 # ---------------------------------------------------------------------------
 
+_BATCH = 4096       # output strings joined per write
+
+
 def _read_json(path: str):
     try:
         if path == "-":
@@ -98,19 +102,30 @@ def _read_json(path: str):
         raise BadShape(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _write(text: str, output: str):
+def _write(parts, output: str):
+    """The strings of parts, then a newline, to output ("-" for stdout), joined
+    _BATCH at a time: a batch is what is held at once, and one write, so one
+    system call on an unbuffered stdout (PYTHONUNBUFFERED) rather than one a part."""
+    def write_to(handle):
+        for first in parts:
+            handle.write(first + "".join(itertools.islice(parts, _BATCH - 1)))
+        handle.write("\n")
+
+    parts = iter(parts)
     if output == "-":
-        sys.stdout.write(text + "\n")
+        write_to(sys.stdout)
     else:
         try:
             with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                write_to(handle)
         except OSError as exc:
             raise BadShape(f"cannot write {output}: {exc}") from exc
 
 
 def _emit_json(data, output: str):
-    _write(json.dumps(data, indent=2, sort_keys=True), output)
+    """json.dumps(data, indent=2, sort_keys=True) and a newline, streamed from the
+    encoder's chunks: the indenting dumps joins them all into one string first."""
+    _write(json.JSONEncoder(indent=2, sort_keys=True).iterencode(data), output)
 
 
 def _load_matrix(path: str) -> SymplecticMatrix:
@@ -172,7 +187,7 @@ def cmd_table(args) -> int:
     _check_g(args.g)
     rows, all_match = _table_rows(args.g)
     if args.markdown:
-        _write(_table_markdown(args.g, rows), args.output)
+        _write([_table_markdown(args.g, rows)], args.output)
     else:
         _emit_json({"g": args.g, "rows": rows, "all_match": all_match}, args.output)
     return EXIT_OK if all_match else EXIT_MISMATCH

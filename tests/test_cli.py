@@ -420,6 +420,26 @@ def test_member_and_random_are_not_capped(tmp_path, capsys, no_tables):
     assert code == 0 and json.loads(out)["matrix"]["g"] == 7
 
 
+def test_json_is_streamed_in_batches_as_dumps_writes_it(tmp_path, monkeypatch):
+    # Far more encoder chunks than one batch: the bytes of json.dumps and a
+    # newline, on stdout and to a file, in one write per batch and the newline.
+    data = {"rows": [{"m": [i, -i], "k": i % 8} for i in range(2000)], "ok": True}
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(data))
+    assert chunks > 4 * cli._BATCH
+    writes = []
+
+    class Stdout:
+        def write(self, part):
+            writes.append(part)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    cli._emit_json(data, "-")
+    assert "".join(writes) == text and len(writes) == -(-chunks // cli._BATCH) + 1
+    cli._emit_json(data, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == text
+
+
 @pytest.mark.parametrize("argv", [["verify", "--trials", "1"], ["table"]],
                          ids=["verify", "table"])
 def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys, argv):

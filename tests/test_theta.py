@@ -22,8 +22,8 @@ from siegelchi import (DEFAULT_TOL, THETA_FLOOR, Characteristic, DegreeMismatch,
 from siegelchi import theta
 from siegelchi.theta import SYMMETRY_TOL, _assemble_report
 
-from util import (delta, quad_reference, random_sp, random_tau, seeded, sign_shift_exponent,
-                  theta_box, theta_dense_reference)
+from util import (class_sums_reference, delta, quad_reference, random_sp, random_tau, seeded,
+                  sign_shift_exponent, theta_box, theta_dense_reference)
 
 TAU_I = siegel_point([[1j]])
 
@@ -354,6 +354,92 @@ def test_theta_rows_match_the_dense_product(case):
         b = m.mod2()
         at_row = values[b._row]
         assert value == (-at_row if sign_shift_exponent(b, delta(b, m)) else at_row)
+
+
+def class_sum_arguments(point):
+    """The t and rho2 that _theta_rows passes _class_sums, every coset asked for."""
+    r = truncation_radius(None, point, theta.DEFAULT_TAIL_TOL)
+    tau = point.tau.copy()
+    tau.real = np.fmod(tau.real, 8.0)
+    return tau / 4.0, np.full(2 ** point.g, point.im_min_eig * r * r)
+
+
+def assert_class_sums_match_cos_sin(point):
+    # Per term and part, within 4.1 u and 7.9 u of exp(-pi Im z) (the first-order
+    # bound of the _class_sums docstring, tan within one ulp), the cos/sin
+    # reference within 1 u; each addition of either sum rounds by u of the moduli.
+    t, rho2 = class_sum_arguments(point)
+    sums = theta._class_sums(t, rho2)
+    ref, moduli, adds = class_sums_reference(t, rho2)
+    tol = (9.0 + 2.0 * adds) * 2.0 ** -53 * moduli
+    assert np.all(np.abs(sums.real - ref.real) <= tol), (sums, ref, tol)
+    assert np.all(np.abs(sums.imag - ref.imag) <= tol), (sums, ref, tol)
+    return sums, ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_half_angle_class_sums_match_cos_sin(g, seed):
+    # At tau and at M tau for a symplectic M beyond level 2.
+    rng = seeded(seed)
+    point = random_tau(g, rng)
+    assert_class_sums_match_cos_sin(point)
+    assert_class_sums_match_cos_sin(mobius(random_sp(g, rng), point))
+
+
+_BELOW_8 = 8.0 - 2.0 ** -49
+
+
+@pytest.mark.parametrize("tau", [
+    [[4.0 + 0.5j]], [[-4.0 + 0.5j]], [[math.nextafter(4.0, 0.0) + 0.5j]],
+    [[math.nextafter(4.0, 8.0) + 0.5j]], [[4.0 + 0.8j, 0.3], [0.3, -4.0 + 0.6j]],
+], ids=["4", "-4", "4-ulp", "4+ulp", "g2"])
+def test_half_angle_near_an_odd_multiple_of_half_pi(tau):
+    # Re tau_ii = +-4 puts (pi/2) Re z at n_i^2 (pi/2) +- an ulp for odd n_i,
+    # so tan there is about 1e16.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = siegel_point(tau)
+        assert_class_sums_match_cos_sin(point)
+        t, rho2 = class_sum_arguments(point)
+        turns = np.concatenate([z.real for z, _ in theta._half_lattice(t, rho2)])
+        assert np.abs(np.tan((0.5 * math.pi) * turns)).max() > 1e14
+
+
+@pytest.mark.parametrize("tau", [
+    [[_BELOW_8 + 0.01j]], [[-_BELOW_8 + 0.01j]],
+    [[_BELOW_8 + 0.015j, -_BELOW_8 + 0.002j], [-_BELOW_8 + 0.002j, -_BELOW_8 + 0.015j]],
+], ids=["8", "-8", "g2"])
+def test_half_angle_far_from_zero(tau):
+    # Re tau just below +-8 and Im tau small: the lattice reaches |Re z| ~ 1e4.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = siegel_point(tau)
+        assert_class_sums_match_cos_sin(point)
+        t, rho2 = class_sum_arguments(point)
+        assert max(np.abs(z.real).max() for z, _ in theta._half_lattice(t, rho2)) > 5e3
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_half_angle_at_zero_real_part(g):
+    # Re z = 0: tan is 0 and each term is exp(-pi Im z), as cos and sin give it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums, ref = assert_class_sums_match_cos_sin(siegel_point(0.7j * np.eye(g)))
+    assert np.array_equal(sums, ref) and not sums.imag.any()
+
+
+def test_one_tan_per_lattice_block_and_no_cos_or_sin(monkeypatch):
+    calls = Counter()
+    for name in ("tan", "cos", "sin"):
+        monkeypatch.setattr(np, name, lambda *args, f=getattr(np, name), name=name:
+                            calls.update([name]) or f(*args))
+    blocks = theta._half_lattice
+    monkeypatch.setattr(theta, "_half_lattice", lambda *args:
+                        (calls.update(["block"]) or block for block in blocks(*args)))
+    point = siegel_point([[0.1 + 0.3j, 0.05, 0], [0.05, 0.2 + 0.3j, 0], [0, 0, -0.1 + 0.3j]])
+    theta_constants(enumerate_mod2(3), point)
+    assert calls["tan"] == calls["block"] > 1 and calls["cos"] == calls["sin"] == 0
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

@@ -19,7 +19,7 @@ from siegelchi import (Characteristic, NotLevel2, PhaseValue, SiegelChiError,
                        random_word, word_to_matrix)
 from siegelchi.errors import _check_degree
 from siegelchi.symplectic import _blocks, _generator_power, _random_word, alphabet
-from siegelchi.theta import _half_lattice, truncation_radius
+from siegelchi.theta import _class_sums, _half_lattice, truncation_radius
 
 
 def generator_reference(kind, i, j, g):
@@ -321,7 +321,8 @@ def theta_dense_reference(chars, point, tail_tol=1e-12):
     """Theta constants as theta_constants read them before the +-1 transform:
     per characteristic, a row of cos(pi n.m''/2) at every class n mod 4 of its
     coset m' mod 2 and 0 at the classes of other cosets, times the class sums
-    of the same lattice pass, plus the 1 of n = 0 at coset 0."""
+    of the same lattice pass, theta._class_sums at Re tau mod 8, plus the 1 of
+    n = 0 at coset 0."""
     g = point.g
     classes = np.indices((4,) * g).reshape(g, -1)
     bits = 1 << np.arange(g - 1, -1, -1)
@@ -333,13 +334,25 @@ def theta_dense_reference(chars, point, tail_tol=1e-12):
     r = truncation_radius(None, point, tail_tol)
     rho2 = np.full(2 ** g, -1.0)
     rho2[coset] = point.im_min_eig * r * r
-    sums = np.zeros(4 ** g, dtype=complex)
-    for z, cls in _half_lattice(point.tau / 4.0, rho2):
-        size = np.exp(-math.pi * z.imag)
+    tau = point.tau.copy()
+    tau.real = np.fmod(tau.real, 8.0)
+    return (phase[:, 0] + 2.0 * (phase @ _class_sums(tau / 4.0, rho2))).tolist()
+
+
+def class_sums_reference(t, rho2):
+    """The class sums of theta._class_sums with each term turned by np.cos and
+    np.sin of pi Re z, summed in the same order, and per class the sum of the
+    moduli exp(-pi Im z) and the number of additions (terms plus blocks)."""
+    size = 4 ** len(t)
+    sums, moduli, adds = np.zeros(size, dtype=complex), np.zeros(size), np.zeros(size)
+    for z, cls in _half_lattice(t, rho2):
+        modulus = np.exp(-math.pi * z.imag)
         turn = math.pi * z.real
-        sums += np.bincount(cls, size * np.cos(turn), 4 ** g)
-        sums += 1j * np.bincount(cls, size * np.sin(turn), 4 ** g)
-    return (phase[:, 0] + 2.0 * (phase @ sums)).tolist()
+        sums += np.bincount(cls, modulus * np.cos(turn), size)
+        sums += 1j * np.bincount(cls, modulus * np.sin(turn), size)
+        moduli += np.bincount(cls, modulus, size)
+        adds += np.bincount(cls, minlength=size) + 1
+    return sums, moduli, adds
 
 
 def quad_reference(a, n):
