@@ -82,7 +82,18 @@ class RunConfig:
             raise BadShape("tolerances must be positive and finite")
 
     def too_tight(self) -> bool:
-        return self.tol < TIGHTNESS_FACTOR * self.tail_tol
+        """tol < TIGHTNESS_FACTOR * tail_tol, exactly in the shortest decimal form of each
+        (their repr): in binary64, 10 * 1e-15 rounds up past 1e-14."""
+        (a, i), (b, j), (c, k) = map(_decimal, (self.tol, TIGHTNESS_FACTOR, self.tail_tol))
+        low = min(i, j + k)
+        return a * 10 ** (i - low) < b * c * 10 ** (j + k - low)
+
+
+def _decimal(x: float) -> tuple:
+    """(n, e) with n 10^e = repr(x), the shortest decimal form of the finite x, as ints."""
+    mantissa, _, exp = repr(x).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return int(whole + frac), int(exp or 0) - len(frac)
 
 
 # ---------------------------------------------------------------------------

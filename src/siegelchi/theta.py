@@ -1,7 +1,9 @@
 """Floating-point theta constants by lattice sums over an ellipsoid, the
 generalized Mobius action, and transformation-formula checks in which the
-unknown eighth-root multiplier cancels.  Every theta value is one batched
-sum, theta_constants, over the points of one enumerator, _half_lattice.
+unknown eighth-root multiplier cancels.  Every theta value comes from one
+enumerator, _half_lattice, which walks a stack of points in one pass:
+theta_constants sums one point, and each verification sweep sums tau and
+M tau together.
 
 All arithmetic here is binary64.  Exact statements live in the character
 module; this module only ever confirms them within an explicit tolerance.
@@ -13,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 
 import numpy as np
 
@@ -148,25 +150,39 @@ def _log_upper_gamma(s: float, x: float) -> float:
     return math.log(scaled) - x
 
 
-def _extend(u: np.ndarray, i: int, cols: np.ndarray, rest: np.ndarray, low):
+def _runs(lo, count: np.ndarray) -> tuple:
+    """The integers lo[c], lo[c] + 1, ..., lo[c] + count[c] - 1 of each column
+    c in turn, each run's start repeated along it plus the running index, and
+    the index at which each run begins."""
+    ends = count.cumsum()
+    starts = ends - count
+    return (lo - starts).repeat(count) + np.arange(ends[-1]), starts
+
+
+def _extend(urow: np.ndarray, cols: np.ndarray, rest: np.ndarray, heads, low: int) -> tuple:
     """Each n_i in Z with U_ii^2 (n_i - c_i)^2 <= rest for each column of the
-    later coordinates, n_i >= low on column 0 unless low is None: column 0 is
-    the all-zero one wherever a block holds it.  Returns n_i, the index of its
-    column and each column's centre c_i."""
-    centre = -(u[i, i + 1:] @ cols) / u[i, i]
-    width = np.sqrt(np.maximum(rest, 0.0)) / u[i, i]
+    later coordinates cols, urow holding each column's U_ii, U_i,i+1, ... as
+    rows, and n_i >= low on the columns heads, where the later ones are all
+    zero.  Returns n_i, their number and first index per column, and each
+    column's U_ii and centre c_i, its sum formed from j = i + 1 up.
+
+    At a head c_i = -0/U_ii = 0, so ceil(c_i - width) <= 0 and the bound
+    there is low itself.  A count is never negative: c - w <= c + w, rounded
+    or not, and ceil(x) <= floor(x) + 1."""
+    uii = urow[0]
+    centre = -sum(c * n for c, n in zip(urow[1:], cols)) / uii
+    width = np.sqrt(np.maximum(rest, 0.0)) / uii
     lo = np.ceil(centre - width)
-    if low is not None:
-        lo[0] = max(lo[0], low)
-    count = np.maximum(np.floor(centre + width) - lo + 1.0, 0.0).astype(np.intp)
-    pick = np.repeat(np.arange(len(lo)), count)
-    return (lo + count - np.cumsum(count))[pick] + np.arange(pick.size), pick, centre
+    lo[heads] = low
+    count = (np.floor(centre + width) - lo).astype(np.int64) + 1
+    ni, starts = _runs(lo.astype(np.int64), count)
+    return ni, count, starts, uii, centre
 
 
-def _pair_sum(pair: np.ndarray, i: int, later: np.ndarray) -> np.ndarray:
-    """l_i = sum_{j>i} (a_ij + a_ji) n_j, pair = a + a^T, later = n_{i+1..},
-    summed from j = i + 1 up."""
-    return sum(pair[i, j] * n for j, n in enumerate(later, i + 1))
+def _pair_sum(row: np.ndarray, i: int, later: np.ndarray) -> np.ndarray:
+    """l_i = sum_{j>i} (a_ij + a_ji) n_j, row = (a + a^T)[i] or one such row
+    per column, later = n_{i+1..}, summed from j = i + 1 up."""
+    return sum(row[..., j] * n for j, n in enumerate(later, i + 1))
 
 
 def _quad(a: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -179,60 +195,89 @@ def _quad(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     pair = a + a.T
     z = a[-1, -1] * n[-1] * n[-1]
     for i in range(len(a) - 2, -1, -1):
-        z = (a[i, i] * n[i] + _pair_sum(pair, i, n[i + 1:])) * n[i] + z
+        z = (a[i, i] * n[i] + _pair_sum(pair[i], i, n[i + 1:])) * n[i] + z
     return z
 
 
 def _half_lattice(t: np.ndarray, rho2: np.ndarray):
-    """Yield, for one n of each pair +-n of nonzero points of Z^g with Im z <=
-    rho2[coset of cls], z = n.t.n and cls, its class n mod 4, in blocks (z, cls)
-    of about _BLOCK points at most, both indices as in _class_tables.  The n
-    taken is the one whose last nonzero coordinate is positive.
+    """For a stack of forms t (P, g, g) and cuts rho2 (P, 2^g), yield, for one
+    n of each pair +-n of nonzero points of Z^g with Im z <= rho2[p, coset of
+    n], z = n.t[p].n and cls = p 4^g + (n mod 4), in blocks (z, cls), the
+    class n mod 4 and coset indices as in _class_tables.  The n taken is the
+    one whose last nonzero coordinate is positive; a point whose every rho2
+    is negative yields nothing.
 
-    With y = Im t = U^T U, U upper triangular, n.y.n = sum_i U_ii^2 (n_i -
+    With y = Im t[p] = U^T U, U upper triangular, n.y.n = sum_i U_ii^2 (n_i -
     c_i)^2 and c_i = -sum_{j>i} U_ij n_j / U_ii: coordinates are fixed from
     the last to the first within the radius the later ones leave (Fincke &
     Pohst, Math. Comp. 44, 1985; Deconinck et al., Math. Comp. 73, 2004), n_i
-    >= 0 while the later ones are all zero.  The bounds of the last one, from
-    the single empty column, are Python scalars.  Bounds use max(rho2)
-    enlarged by 1e-9 and each block is cut by Im z itself, so rounding in U
-    neither drops nor adds a point.
+    >= 0 while the later ones are all zero.  One walk serves the stack: each
+    column of n_{i+1..} carries its point p and reads its own U and t + t^T.
+    Bounds use max(rho2[p]) enlarged by 1e-9 and each block is cut by Im z
+    itself, so rounding in U and c_i neither drops nor adds a point.
 
     z and cls are partial sums: a column of n_{i+1..} with form z' and class
     k' gets, for each n_i, z = (t_ii n_i + l_i) n_i + z' and class
     4^(g-1-i) (n_i mod 4) + k', with l_i = _pair_sum formed once per column.
-    This is _quad step by step, so z = _quad(t, n) bit for bit.
+    This is _quad step by step, so z = _quad(t[p], n) bit for bit: n is held
+    as int64, and numpy multiplies a complex by it as by the equal float.
+
+    Blocks.  The columns of n_1.. of point p are cut into runs of per =
+    _BLOCK // (2 floor(sqrt(max rho2[p]) / U_00) + 2) columns, about _BLOCK
+    points at most, and block a joins the a-th run of every point that has
+    one.  Two runs of one point never share a block, so a class sums the same
+    terms in the same bincounts whatever else the stack holds: every point's
+    class sums have the bits of a stack of that point alone.
     """
-    g = len(t)
+    count, g = t.shape[:2]
     k = g - 1
     y = t.imag
-    u = np.linalg.cholesky((y + y.T) / 2.0).T
-    pair = t + t.T
+    u = np.linalg.cholesky((y + y.transpose(0, 2, 1)) / 2.0).transpose(0, 2, 1)
+    pair = t + t.transpose(0, 2, 1)
     weights, class_coset = _class_tables(g)[:2]
-    cut = rho2[class_coset]
-    top = rho2.max() * (1.0 + 1e-9)
-    ni = np.arange(float(k == 0), math.floor(math.sqrt(top) / u[k, k]) + 1.0)
-    cols, z, cls = ni[None], t[k, k] * ni * ni, ni.astype(np.int64) & 3
+    cut = rho2[:, class_coset].ravel()
+    top = rho2.max(axis=1, initial=0.0) * (1.0 + 1e-9)
+    span = np.floor(np.sqrt(top) / u[:, k, k]).astype(np.int64) + (k > 0)
+    ni, heads = _runs(int(k == 0), span)
+    pt = np.arange(count).repeat(span)
+    z, cls = t[:, k, k].take(pt) * ni * ni, (pt << 2 * g) + (ni & 3)
     if k == 0:
         keep = z.imag <= cut[cls]
         yield z[keep], cls[keep]
         return
-    rest = top - (u[k, k] * ni) ** 2
+    rest = top.take(pt) - (u[:, k, k].take(pt) * ni) ** 2
+    cols = ni[None]
     for i in range(k - 1, 0, -1):
-        ni, pick, centre = _extend(u, i, cols, rest, 0.0)
-        rest = rest[pick] - (u[i, i] * (ni - centre[pick])) ** 2
-        z = (t[i, i] * ni + _pair_sum(pair, i, cols)[pick]) * ni + z[pick]
-        cls = weights[i] * (ni.astype(np.int64) & 3) + cls[pick]
-        cols = np.concatenate((ni[None], cols.take(pick, axis=1)))
-    ell = _pair_sum(pair, 0, cols)
-    per = max(1, _BLOCK // (2 * int(math.sqrt(top) / u[0, 0]) + 2))
-    for a in range(0, cols.shape[1], per):
-        b = slice(a, a + per)
-        ni, pick, _ = _extend(u, 0, cols[:, b], rest[b], 1.0 if a == 0 else None)
-        zb = (t[0, 0] * ni + ell[b][pick]) * ni + z[b][pick]
-        kb = weights[0] * (ni.astype(np.int64) & 3) + cls[b][pick]
+        urow = u[:, i, i:].T.take(pt, axis=1)
+        ni, runs, starts, uii, centre = _extend(urow, cols, rest, heads, 0)
+        ell = _pair_sum(pair[:, i].take(pt, axis=0), i, cols)
+        heads = starts[heads]
+        pt = pt.repeat(runs)
+        rest = rest.repeat(runs) - (uii.repeat(runs) * (ni - centre.repeat(runs))) ** 2
+        z = (t[:, i, i].take(pt) * ni + ell.repeat(runs)) * ni + z.repeat(runs)
+        cls = weights[i] * (ni & 3) + cls.repeat(runs)
+        cols = np.concatenate((ni[None], cols.repeat(runs, axis=1)))
+    ell = _pair_sum(pair[:, 0].take(pt, axis=0), 0, cols)
+    urow, t00 = u[:, 0].T.take(pt, axis=1), t[:, 0, 0].take(pt)
+    zero = np.zeros(cols.shape[1], dtype=bool)
+    zero[heads] = True
+    chunks = []
+    for h, e, x, d in zip(heads.tolist(), heads[1:].tolist() + [len(zero)], top.tolist(),
+                          u[:, 0, 0].tolist()):
+        per = max(1, _BLOCK // (2 * int(math.sqrt(x) / d) + 2))
+        chunks.append([(a, min(a + per, e)) for a in range(h, e, per)])
+    for parts in zip_longest(*chunks):
+        parts = [run for run in parts if run]
+        if all(b == c for (_, b), (c, _) in zip(parts, parts[1:])):
+            sel = slice(parts[0][0], parts[-1][1])      # contiguous: views, no gathers
+        else:
+            sel = np.concatenate([np.arange(a, b) for a, b in parts])
+        ni, runs, _, _, _ = _extend(urow[:, sel], cols[:, sel], rest[sel], zero[sel], 1)
+        nc = ni.astype(complex)
+        zb = (t00[sel].repeat(runs) * nc + ell[sel].repeat(runs)) * nc + z[sel].repeat(runs)
+        kb = weights[0] * (ni & 3) + cls[sel].repeat(runs)
         keep = zb.imag <= cut[kb]
-        yield zb[keep], kb[keep]
+        yield (zb, kb) if keep.all() else (zb[keep], kb[keep])
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +298,8 @@ def _class_tables(g: int) -> tuple:
 
 def _class_sums(t: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     """S[k], the sum of exp(pi i z) over the points (z, k) of _half_lattice(t,
-    rho2) in class k, for each of the 4^g classes; k as in _class_tables.
+    rho2) in class k, for each of the P 4^g classes of a stack of P forms;
+    point p's class c at k = p 4^g + c, c as in _class_tables.
 
     Each term is turned by the half-angle identity: with theta = pi Re z and h
     = tan(theta / 2),
@@ -288,7 +334,7 @@ def _class_sums(t: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     finite, w is finite as 1 + h^2 >= 1, and 0 times the finite 1 - h^2 or h
     is 0 where exp underflows: no inf or NaN reaches a class sum.
     """
-    sums = np.zeros(4 ** len(t), dtype=complex)
+    sums = np.zeros(len(t) << 2 * t.shape[1], dtype=complex)
     for z, cls in _half_lattice(t, rho2):
         h = np.tan((0.5 * math.pi) * z.real)
         hh = h * h
@@ -304,26 +350,29 @@ def _signed_rows(chars) -> tuple:
             [sum(p & (q >> 1) for p, q in zip(m.m_prime, m.m_double)) & 1 for m in chars])
 
 
-def _theta_rows(rows, point: SiegelPoint, tail_tol: float) -> list:
-    """The theta constants at the binary characteristics of the given rows of
-    enumerate_mod2, in order, from one lattice pass over their cosets; see
-    theta_constants."""
-    g = point.g
-    r = truncation_radius(None, point, tail_tol)
-    rho2 = np.full(2 ** g, -1.0)                # cosets no row asks for stay empty
-    rho2[np.asarray(rows) >> g] = point.im_min_eig * r * r
-    tau = point.tau.copy()
-    tau.real = np.fmod(tau.real, 8.0)
+def _theta_rows(reads, tail_tol: float) -> list:
+    """For each (rows, point) in reads, all of one degree, the theta constants
+    at the binary characteristics of those rows of enumerate_mod2, in order,
+    from one lattice pass over every point, each summing the cosets of its own
+    rows; see theta_constants."""
+    g = reads[0][1].g
+    t = np.array([point.tau for _, point in reads])
+    t.real = np.fmod(t.real, 8.0)
+    rho2 = np.full((len(reads), 2 ** g), -1.0)      # cosets no row asks for stay empty
+    for cuts, (rows, point) in zip(rho2, reads):
+        r = truncation_radius(None, point, tail_tol)
+        cuts[np.asarray(rows) >> g] = point.im_min_eig * r * r
     _, _, lift, signs, quarter = _class_tables(g)
-    table = 2.0 * (quarter * (_class_sums(tau / 4.0, rho2)[lift] @ signs))
-    table[0] += 1.0
-    return table.ravel().take(rows).tolist()
+    sums = _class_sums(t / 4.0, rho2).reshape(len(reads), -1)
+    tables = 2.0 * (quarter * (sums[:, lift] @ signs))
+    tables[:, 0] += 1.0
+    return [table.ravel().take(rows).tolist() for table, (rows, _) in zip(tables, reads)]
 
 
 def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TOL) -> list:
     """Theta constants sum exp(pi i (v.tau.v + v.m'')) over v in Z^g + m'/2,
     one per characteristic in chars (any iterable), in order, from one lattice
-    pass: _signed_rows, then _theta_rows.
+    pass: _signed_rows, then _theta_rows with the point alone, a stack of one.
 
     Every coset m' mod 2 sums the terms of modulus at least exp(-pi lam R^2),
     the ellipsoid v.Y.v <= lam R^2: Y = Im(tau) with smallest eigenvalue lam,
@@ -354,7 +403,8 @@ def theta_constants(chars, point: SiegelPoint, tail_tol: float = DEFAULT_TAIL_TO
     for m in chars:
         _check_degree(m, point)
     rows, flips = _signed_rows(chars)
-    return [-v if flip else v for v, flip in zip(_theta_rows(rows, point, tail_tol), flips)]
+    values = _theta_rows([(rows, point)], tail_tol)[0]
+    return [-v if flip else v for v, flip in zip(values, flips)]
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint,
@@ -379,7 +429,8 @@ def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
     except OverflowError as exc:
         raise NotUpperHalfSpace(f"M has an entry past the binary64 range: {exc}") from exc
     den = e[g:, :g] @ point.tau + e[g:, g:]
-    if np.linalg.cond(den) > COND_LIMIT:
+    s = np.linalg.svd(den, compute_uv=False).tolist()    # cond(den) is s[0] / s[-1]
+    if not s[0] <= COND_LIMIT * s[-1]:      # Python floats: inf past the range, NaN fails
         raise SingularFactor("c tau + d is numerically singular")
     out = (e[:g, :g] @ point.tau + e[:g, g:]) @ np.linalg.inv(den)
     _check_range(out, "M tau")
@@ -466,17 +517,30 @@ def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationRe
                               tolerance=float(tol), passed=bool(ok))
 
 
-def _sweep(mat: SymplecticMatrix, point: SiegelPoint, rows, tail_tol: float) -> tuple:
-    """The body of every verification sweep, after the caller's degree checks:
-    theta at tau at the given rows, the positions above THETA_FLOOR (TooFewUsable
-    unless two), one M tau and det(c tau + d) (SingularFactor).  Returns the kept
-    positions, their theta at tau, M tau and the det; callers read theta at M tau."""
-    vals = _theta_rows(rows, point, tail_tol)
+def _usable(vals) -> list:
+    """The positions of vals above THETA_FLOOR; TooFewUsable unless two."""
     kept = [i for i, val in enumerate(vals) if abs(val) > THETA_FLOOR]
     if len(kept) < 2:
         raise TooFewUsable(f"only {len(kept)} theta constants above the floor")
-    image, det = _transform(mat, point)
-    return kept, [vals[i] for i in kept], image, det
+    return kept
+
+
+def _sweep(mat: SymplecticMatrix, point: SiegelPoint, rows, image_rows, tail_tol: float) -> tuple:
+    """The body of every verification sweep, after the caller's degree checks:
+    one M tau and det(c tau + d) (SingularFactor), then theta at tau at rows
+    and at M tau at image_rows from one lattice pass, and the positions whose
+    theta at tau is above THETA_FLOOR (TooFewUsable unless two).  TooFewUsable
+    comes first: when the transform fails, theta at tau alone decides which
+    error is raised.  Returns the kept positions, theta at tau and at M tau at
+    them, and the det."""
+    try:
+        image, det = _transform(mat, point)
+    except (SingularFactor, NotUpperHalfSpace):
+        _usable(_theta_rows([(rows, point)], tail_tol)[0])
+        raise
+    vals, tops = _theta_rows([(rows, point), (image_rows, image)], tail_tol)
+    kept = _usable(vals)
+    return kept, [vals[i] for i in kept], [tops[i] for i in kept], det
 
 
 def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
@@ -491,11 +555,10 @@ def verify_character(mat: SymplecticMatrix, point: SiegelPoint,
     ks = _chi_table(mat)[0].tolist()    # raises NotLevel2 before any theta work
     _check_degree(mat, point)
     chars, _, evens = _mod2_table(mat.g)
-    kept, vals, image, det = _sweep(mat, point, evens, tail_tol)
+    kept, vals, tops, det = _sweep(mat, point, evens, evens, tail_tol)
     rows = [evens[i] for i in kept]
     root = cmath.sqrt(det)
-    ratios = [top / (root * val) / _ROOT_VALUES[ks[r]]
-              for r, val, top in zip(rows, vals, _theta_rows(rows, image, tail_tol))]
+    ratios = [top / (root * val) / _ROOT_VALUES[ks[r]] for r, val, top in zip(rows, vals, tops)]
     return _assemble_report([chars[r] for r in rows], ratios, tol)
 
 
@@ -506,7 +569,9 @@ def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoi
 
     For each even m in m_set with theta above the floor, compares
     theta(M o m, M tau) against e(phase) * sqrt-det * theta(m, tau); the
-    ratio must not depend on m.  Valid for every symplectic matrix.
+    ratio must not depend on m.  Valid for every symplectic matrix.  M tau
+    sums the cosets of every M o m offered, as which m are kept is known only
+    after the pass.
     """
     chars = [m for m in m_set if is_even(m)]
     for x in (mat, *chars):
@@ -514,13 +579,13 @@ def verify_transformation_general(mat: SymplecticMatrix, m_set, point: SiegelPoi
     if not chars:
         raise TooFewUsable("only 0 theta constants above the floor")
     rows, flips = _signed_rows(chars)
-    kept, vals, image, det = _sweep(mat, point, rows, tail_tol)
-    labels = [chars[i] for i in kept]
-    tops = theta_constants([act(mat, m) for m in labels], image, tail_tol)
+    image_rows, image_flips = _signed_rows([act(mat, m) for m in chars])
+    kept, vals, tops, det = _sweep(mat, point, rows, image_rows, tail_tol)
     root = cmath.sqrt(det)
-    ratios = [top / (_ROOT_VALUES[phase_full(m, mat).eighths] * root * (-val if flips[i] else val))
-              for i, m, val, top in zip(kept, labels, vals, tops)]
-    return _assemble_report(labels, ratios, tol)
+    ratios = [(-top if image_flips[i] else top) / (_ROOT_VALUES[phase_full(chars[i], mat).eighths]
+                                                   * root * (-val if flips[i] else val))
+              for i, val, top in zip(kept, vals, tops)]
+    return _assemble_report([chars[i] for i in kept], ratios, tol)
 
 
 def verify_igusa_product(m: Characteristic, n: Characteristic,
@@ -543,12 +608,12 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     for x in (mat, m, n):
         _check_degree(x, point)
     chars, _, evens = _mod2_table(mat.g)
-    kept, vals, image, det = _sweep(mat, point, evens, tail_tol)
+    kept, vals, tops, det = _sweep(mat, point, evens, evens, tail_tol)
     rows = [evens[i] for i in kept]
     if m._row not in rows or n._row not in rows:
         raise TooFewUsable("requested characteristic below the theta floor")
     first = (rows.index(m._row), rows.index(n._row))
-    tops, k = _theta_rows(rows, image, tail_tol), [ks[r] for r in rows]
+    k = [ks[r] for r in rows]
 
     def pairs():        # the requested pair, then every other unordered pair once
         yield first

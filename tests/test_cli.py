@@ -333,6 +333,27 @@ def test_verify_too_tight_tolerance(tmp_path, capsys):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("tol, tight", [("1e-14", False), ("9.9e-15", True)])
+def test_verify_tightness_is_read_in_decimal(tmp_path, capsys, tol, tight):
+    # tol = 10 tail_tol exactly in decimal is accepted, though 10 * 1e-15 rounds
+    # above 1e-14 in binary64; just below it is refused.
+    out_file = tmp_path / "tight.json"
+    run(capsys, "verify", "--g", "1", "--trials", "5", "--tol", tol, "--tail-tol", "1e-15",
+        "--no-timestamp", "--output", str(out_file))
+    suite = json.loads(out_file.read_text())["suites"]["C_numeric"]
+    assert (suite.get("diagnostic") == "TooTight") == tight
+
+
+def test_too_tight_at_every_decimal_tenfold():
+    # m 10^-e against m 10^-(e+1), m < 100, e <= 16: exactly tenfold, never too
+    # tight; one unit less in the last digit of tol always is.
+    for m in range(1, 100):
+        for e in range(1, 17):
+            tail = float(f"{m}e-{e + 1}")
+            assert not RunConfig(tol=float(f"{m}e-{e}"), tail_tol=tail).too_tight()
+            assert RunConfig(tol=float(f"{10 * m - 1}e-{e + 1}"), tail_tol=tail).too_tight()
+
+
 def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
     # A sweep that cannot be evaluated is a failed trial (see the next test);
     # any other library error ends its suite, and the other suites still report.

@@ -1,6 +1,7 @@
 """The library names that the benchmark, the README and the demos rely on stay public,
 every demo still runs to completion, and importing the package stays light."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -58,6 +59,27 @@ def test_import_loads_no_heavy_modules(module):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_src_imports_only_the_standard_library_numpy_and_itself():
+    # src/ depends on numpy alone (pyproject.toml): every import of every module
+    # names the standard library, numpy, or siegelchi by a relative import.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    paths = sorted((ROOT / "src" / "siegelchi").glob("*.py"))
+    seen = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                seen.add(name.split(".")[0])
+                assert name.split(".")[0] in allowed, (path.name, name)
+    assert len(paths) == len(list(pkgutil.iter_modules(siegelchi.__path__))) + 1
+    assert {"numpy", "math"} <= seen
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelchi import (DEFAULT_TOL, THETA_FLOOR, Characteristic, DegreeMismatch,
+from siegelchi import (DEFAULT_TOL, THETA_FLOOR, Characteristic, DegreeMismatch, EighthRoot,
                        NonPositiveTolerance, NotLevel2, NotUpperHalfSpace, SingularFactor,
-                       TooFewUsable, characteristic, det_sqrt_factor, enumerate_even_mod2,
+                       TooFewUsable, act, characteristic, det_sqrt_factor, enumerate_even_mod2,
                        enumerate_mod2, generator, identity, is_even, make_matrix, mobius,
-                       multiply, random_word, shift, siegel_point,
+                       multiply, phase_full, random_word, shift, siegel_point,
                        theta_constant, theta_constants,
                        truncation_radius, verify_character, verify_igusa_product,
                        verify_transformation_general, word, word_to_matrix)
@@ -279,7 +279,7 @@ def test_lattice_is_the_ellipsoid(case):
     cuts = np.full(2 ** g, other)
     cuts[int("".join(map(str, bits)), 2)] = rho2
     with mock.patch.object(theta, "_BLOCK", cap):
-        blocks = list(theta._half_lattice(t, cuts))
+        blocks = list(theta._half_lattice(t[None], cuts[None]))
     class_coset = theta._class_tables(g)[1]
     for z, cls in blocks:
         assert len(z) == len(cls) <= cap and np.all(z.imag <= cuts[class_coset[cls]])
@@ -295,6 +295,51 @@ def test_lattice_is_the_ellipsoid(case):
     classes = (box % 4).T @ (4 ** np.arange(g - 1, -1, -1))
     assert listed == sorted(zip(q.real[keep].tolist(), q.imag[keep].tolist(),
                                 classes[keep].tolist()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda g: st.tuples(
+           st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.booleans(),
+                              st.lists(st.booleans(), min_size=2 ** g, max_size=2 ** g)),
+                    min_size=1, max_size=3))))
+def test_one_stacked_pass_is_each_point_alone(case):
+    # A stack of points, each tau or M tau for a symplectic M beyond level 2,
+    # each summing its own cosets (none at all included), with blocks of at
+    # most 64 points so that a point spans several.  Each point's pieces of
+    # the stacked blocks are, bit for bit, the blocks of its own pass, and its
+    # class sums and theta constants those of its own pass.  An M tau whose
+    # ellipsoid holds more than about 2 10^4 points is replaced by tau, to
+    # bound the time of one example.
+    seed, draws = case
+    g = len(draws[0][1]).bit_length() - 1
+    rng = seeded(seed)
+    points = []
+    for moved, _ in draws:
+        point = random_tau(g, rng)
+        try:
+            image = mobius(random_sp(g, rng), point)
+        except NotUpperHalfSpace:
+            image = point
+        points.append(image if moved and lattice_size(image) < 2e4 else point)
+    t, every = class_sum_arguments(*points)
+    rho2 = np.where([asks for _, asks in draws], every, -1.0)
+    reads = [([r for r in range(4 ** g) if asks[r >> g]] or [0], point)
+             for point, (_, asks) in zip(points, draws)]
+    with mock.patch.object(theta, "_BLOCK", 64):
+        pieces = [[] for _ in points]
+        for z, cls in theta._half_lattice(t, rho2):
+            for p, piece in enumerate(pieces):
+                mine = cls >> 2 * g == p
+                if mine.any():
+                    piece.append((z[mine].tobytes(), (cls[mine] - (p << 2 * g)).tobytes()))
+        sums = theta._class_sums(t, rho2).reshape(len(points), -1)
+        values = theta._theta_rows(reads, theta.DEFAULT_TAIL_TOL)
+        for p, read in enumerate(reads):
+            alone = theta._half_lattice(t[p:p + 1], rho2[p:p + 1])
+            assert pieces[p] == [(z.tobytes(), cls.tobytes()) for z, cls in alone if len(z)]
+            assert sums[p].tobytes() == theta._class_sums(t[p:p + 1], rho2[p:p + 1]).tobytes()
+            assert values[p] == theta._theta_rows([read], theta.DEFAULT_TAIL_TOL)[0]
 
 
 _parts = st.floats(-4.0, 4.0, allow_subnormal=False)
@@ -356,12 +401,23 @@ def test_theta_rows_match_the_dense_product(case):
         assert value == (-at_row if sign_shift_exponent(b, delta(b, m)) else at_row)
 
 
-def class_sum_arguments(point):
-    """The t and rho2 that _theta_rows passes _class_sums, every coset asked for."""
-    r = truncation_radius(None, point, theta.DEFAULT_TAIL_TOL)
-    tau = point.tau.copy()
-    tau.real = np.fmod(tau.real, 8.0)
-    return tau / 4.0, np.full(2 ** point.g, point.im_min_eig * r * r)
+def lattice_size(point):
+    """Half the volume of the ellipsoid _half_lattice walks for the point, about
+    the number of points it lists."""
+    t, rho2 = class_sum_arguments(point)
+    g = point.g
+    ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * rho2.max() ** (g / 2)
+    return ball / math.sqrt(np.linalg.det(t[0].imag)) / 2
+
+
+def class_sum_arguments(*points):
+    """The stacks t and rho2 that _theta_rows passes _class_sums for these
+    points, every coset asked for."""
+    t = np.array([point.tau for point in points])
+    t.real = np.fmod(t.real, 8.0)
+    r = [truncation_radius(None, point, theta.DEFAULT_TAIL_TOL) for point in points]
+    rho2 = np.array([[point.im_min_eig * x * x] * 2 ** point.g for point, x in zip(points, r)])
+    return t / 4.0, rho2
 
 
 def assert_class_sums_match_cos_sin(point):
@@ -452,7 +508,8 @@ def test_even_table_is_cached_and_summed_alike(g):
     rows, flips = theta._signed_rows(evens)
     assert rows == [m._row for m in evens] and not any(flips)
     point = random_tau(g, seeded(67 + g))
-    assert theta_constants(evens, point) == theta._theta_rows(rows, point, theta.DEFAULT_TAIL_TOL)
+    assert theta_constants(evens, point) == theta._theta_rows([(rows, point)],
+                                                              theta.DEFAULT_TAIL_TOL)[0]
 
 
 def test_batched_matches_single_characteristic():
@@ -656,6 +713,31 @@ def test_verify_general_agrees_with_character_sweep():
         assert abs(a.estimated_unit - b.estimated_unit) < 1e-9
 
 
+def test_general_sweep_sums_the_cosets_of_every_image():
+    # M tau is summed at the cosets of M o m for every m offered, as the kept m
+    # are known only after the pass: with m_set = [m, 0] and M beyond level 2,
+    # M o m mostly lies outside the cosets tau sums.  Each report is the one
+    # built from theta_constants of each kept m at tau and of M o m at M tau.
+    rng = seeded(98)
+    zero = characteristic(0, 0, 0, 0)
+    reports = 0
+    for m in enumerate_even_mod2(2):
+        for _ in range(20):
+            mat, point = random_sp(2, rng), random_tau(2, rng)
+            try:
+                report = verify_transformation_general(mat, [m, zero], point)
+            except (NotUpperHalfSpace, SingularFactor, TooFewUsable):
+                continue
+            labels = list(report.m_list)
+            tops = theta_constants([act(mat, x) for x in labels], mobius(mat, point))
+            root = det_sqrt_factor(mat, point)
+            assert report.passed and report.ratios == tuple(
+                top / (EighthRoot(phase_full(x, mat).eighths).value * root * val)
+                for x, val, top in zip(labels, theta_constants(labels, point), tops))
+            reports += 1
+    assert reports > 150
+
+
 def test_verify_general_too_few_usable():
     with pytest.raises(TooFewUsable):
         verify_transformation_general(identity(1), [characteristic(1, 1)], TAU_I)
@@ -705,11 +787,22 @@ SWEEPS = {
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_one_conditioning_check_per_sweep(monkeypatch, sweep):
     calls = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda *args: calls.append(1) or cond(*args))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
     mat = word_to_matrix(random_word(2, 3, 91))
     assert SWEEPS[sweep](mat, random_tau(2, seeded(92))).passed
     assert len(calls) == 1
+
+
+def test_conditioning_check_stays_in_range():
+    # c tau + d with singular values near 1e307: COND_LIMIT times the least
+    # one passes the binary64 range, and the check takes it without a warning.
+    k = 10 ** 307
+    mat = word_to_matrix(word(2, [("C", 1, 2, k), ("C", 1, 1, -k)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUpperHalfSpace, match="not positive definite"):
+            mobius(mat, siegel_point([[4 + 1j, 0.5], [0.5, 4 + 1j]]))
 
 
 def test_singular_factor_is_raised():
@@ -735,9 +828,31 @@ def test_bad_image_is_not_upper_half_space(monkeypatch, inverse, message):
 
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_too_few_usable_comes_before_singular_factor(monkeypatch, sweep):
-    monkeypatch.setattr(theta, "_theta_rows", lambda rows, *args: [0.0] * len(rows))
+    monkeypatch.setattr(theta, "_theta_rows",
+                        lambda reads, *args: [[0.0] * len(rows) for rows, _ in reads])
     with pytest.raises(TooFewUsable):
         SWEEPS[sweep](SINGULAR, TAU_I2)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_transform_error_gives_way_to_too_few_usable(monkeypatch, sweep):
+    # The transform comes before the one lattice pass; when it fails, theta at
+    # tau alone decides: SingularFactor with two usable, TooFewUsable without.
+    def singular(*args):
+        raise SingularFactor("c tau + d is numerically singular")
+
+    monkeypatch.setattr(theta, "_transform", singular)
+    mat, point = word_to_matrix(random_word(2, 3, 91)), random_tau(2, seeded(92))
+    with pytest.raises(SingularFactor):
+        SWEEPS[sweep](mat, point)
+    with pytest.raises(TooFewUsable):
+        verify_transformation_general(mat, [ZERO2], point)
+    passes = []
+    monkeypatch.setattr(theta, "_theta_rows", lambda reads, *args: passes.append(len(reads))
+                        or [[1.0] + [0.0] * (len(rows) - 1) for rows, _ in reads])
+    with pytest.raises(TooFewUsable):
+        SWEEPS[sweep](mat, point)
+    assert passes == [1]
 
 
 def test_degree_mismatch_comes_before_too_few_usable():
@@ -750,7 +865,7 @@ def test_product_extras_do_not_count_as_usable(monkeypatch):
     # classes are summed, and one of them above the floor is too few.
     m, n = characteristic(2, 0), characteristic(0, 2)
     assert verify_igusa_product(m, n, generator("B", 1, 1, 1), TAU_I).passed
-    monkeypatch.setattr(theta, "_theta_rows", lambda rows, *args: [1.0, 0.0, 0.0])
+    monkeypatch.setattr(theta, "_theta_rows", lambda reads, *args: [[1.0, 0.0, 0.0] for _ in reads])
     with pytest.raises(TooFewUsable, match="only 1 theta"):
         verify_igusa_product(m, n, identity(1), TAU_I)
 

@@ -336,14 +336,15 @@ def theta_dense_reference(chars, point, tail_tol=1e-12):
     rho2[coset] = point.im_min_eig * r * r
     tau = point.tau.copy()
     tau.real = np.fmod(tau.real, 8.0)
-    return (phase[:, 0] + 2.0 * (phase @ _class_sums(tau / 4.0, rho2))).tolist()
+    return (phase[:, 0] + 2.0 * (phase @ _class_sums(tau[None] / 4.0, rho2[None]))).tolist()
 
 
 def class_sums_reference(t, rho2):
     """The class sums of theta._class_sums with each term turned by np.cos and
     np.sin of pi Re z, summed in the same order, and per class the sum of the
-    moduli exp(-pi Im z) and the number of additions (terms plus blocks)."""
-    size = 4 ** len(t)
+    moduli exp(-pi Im z) and the number of additions (terms plus blocks); t
+    and rho2 are stacks, as _class_sums takes them."""
+    size = len(t) << 2 * t.shape[1]
     sums, moduli, adds = np.zeros(size, dtype=complex), np.zeros(size), np.zeros(size)
     for z, cls in _half_lattice(t, rho2):
         modulus = np.exp(-math.pi * z.imag)
