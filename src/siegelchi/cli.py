@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import gc
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -116,7 +118,9 @@ def _read_json(path: str):
 def _write(parts, output: str):
     """The strings of parts, then a newline, to output ("-" for stdout), joined
     _BATCH at a time: a batch is what is held at once, and one write, so one
-    system call on an unbuffered stdout (PYTHONUNBUFFERED) rather than one a part."""
+    system call on an unbuffered stdout (PYTHONUNBUFFERED) rather than one a part.
+    stdout is flushed here, so that a reader gone before the last byte raises
+    here, wherever the buffer stood, and not in the flush at shutdown."""
     def write_to(handle):
         for first in parts:
             handle.write(first + "".join(itertools.islice(parts, _BATCH - 1)))
@@ -124,7 +128,16 @@ def _write(parts, output: str):
 
     parts = iter(parts)
     if output == "-":
-        write_to(sys.stdout)
+        try:
+            write_to(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # Nothing reads stdout any more: point it at devnull, so the flush at
+            # shutdown has nowhere to fail, and exit 2 as an unwritable --output does.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise BadShape(f"cannot write -: {exc}") from exc
     else:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -454,7 +467,18 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    """main() as a process: the console script and python -m siegelchi.cli.
+
+    gc.freeze() after main moves every object left to the permanent generation,
+    so the collections CPython runs at finalization have nothing to walk: the
+    shutdown of a verify --g 2 run fell from about 20 ms to about 5 ms on one
+    core, and the run by about a tenth (BENCH_gc_freeze.json).  Exit code,
+    output and atexit handlers are unchanged.  It stays out of main and out of
+    import time, which must leave a caller's collector alone.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -361,7 +361,7 @@ def _theta_rows(reads, tail_tol: float) -> list:
     rho2 = np.full((len(reads), 2 ** g), -1.0)      # cosets no row asks for stay empty
     for cuts, (rows, point) in zip(rho2, reads):
         r = truncation_radius(None, point, tail_tol)
-        cuts[np.asarray(rows) >> g] = point.im_min_eig * r * r
+        cuts[np.asarray(rows, dtype=np.int64) >> g] = point.im_min_eig * r * r
     _, _, lift, signs, quarter = _class_tables(g)
     sums = _class_sums(t / 4.0, rho2).reshape(len(reads), -1)
     tables = 2.0 * (quarter * (sums[:, lift] @ signs))

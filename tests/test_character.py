@@ -514,6 +514,18 @@ def test_exponent_tables_invert_the_closed_form_exactly():
         assert (probe @ closed % 8 == np.diag(scale) % 8).all()
 
 
+@pytest.mark.parametrize("g, letters", [(1, 3), (2, 10), (3, 21)])
+def test_each_letter_is_its_column_of_the_closed_form(g, letters):
+    # The matrix kernel at each generator against the same letter's column of
+    # A = coef x table mod 8, the closed form table and decompose read.
+    closed = character._exponent_tables(g)[2]
+    column = character._basis(g)[0]
+    assert len(alphabet(g)) == len(column) == letters
+    for kind, i, j in alphabet(g):
+        assert (chi_exponents(generator(kind, i, j, g)).tolist()
+                == closed[:, column[kind, i, j]].tolist())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_one_closed_form_at_every_integer_characteristic(g, data):
@@ -594,6 +606,26 @@ def test_chi_trivial_on_igusa_group():
             mat = random_igusa48(g, s)
             for m in all_binary(g):
                 assert chi(m, mat).k == 0
+
+
+@pytest.mark.parametrize("g, residues", [(1, 2), (2, 64)])
+def test_chi_trivial_on_every_residue_of_igusa_group_mod_8(g, residues):
+    # Gamma(4,8)/Gamma(8) is every I + 4X, X = [[A, B], [C, -A^T]] mod 2 with B
+    # and C symmetric and zero on the diagonal.  chi reads M mod 8 only, and
+    # each residue lifts to Sp(2g, Z), so each is built as it stands.
+    upper = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    seen = set()
+    for bits in itertools.product((0, 1), repeat=g * g + 2 * len(upper)):
+        a = np.array(bits[:g * g], dtype=np.int64).reshape(g, g)
+        b, c = np.zeros((2, g, g), dtype=np.int64)
+        for (i, j), x, y in zip(upper, bits[g * g::2], bits[g * g + 1::2]):
+            b[i, j] = b[j, i] = x
+            c[i, j] = c[j, i] = y
+        x = np.block([[a, b], [c, -a.T]])
+        mat = SymplecticMatrix(g=g, entries=np.eye(2 * g, dtype=np.int64) + 4 * x)
+        seen.add((mat.entries % 8).tobytes())
+        assert not chi_exponents(mat).any()
+    assert len(seen) == residues
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+SRC = str(Path(siegelchi.__file__).resolve().parent.parent)
+
+
+def fresh_env():
+    """os.environ with this package's source tree first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+
+
+def run_fresh(*argv, options=(), **kwargs):
+    """python [options] -m siegelchi.cli argv in a new process, through entrypoint."""
+    return subprocess.run([sys.executable, *options, "-m", "siegelchi.cli", *argv],
+                          env=fresh_env(), timeout=120, **{"capture_output": True, **kwargs})
+
+
 # ---------------------------------------------------------------------------
 # chi
 # ---------------------------------------------------------------------------
@@ -126,11 +141,7 @@ def test_undecodable_json_exits_2_without_traceback(tmp_path, capsys, content, a
 def test_deeply_nested_json_exits_2_in_a_fresh_process(tmp_path):
     path = tmp_path / "deep.json"
     path.write_bytes(UNDECODABLE["deep-nesting"])
-    src = str(Path(siegelchi.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    argv = [sys.executable, "-m", "siegelchi.cli", "member", "--matrix", str(path)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_fresh("member", "--matrix", str(path), text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -454,6 +465,9 @@ def test_json_is_streamed_in_batches_as_dumps_writes_it(tmp_path, monkeypatch):
         def write(self, part):
             writes.append(part)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Stdout())
     cli._emit_json(data, "-")
     assert "".join(writes) == text and len(writes) == -(-chunks // cli._BATCH) + 1
@@ -467,6 +481,24 @@ def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, "--output", str(tmp_path / "missing" / "out.json"))
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("options", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["table", "--g", "1"], ["table", "--g", "3"]],
+                         ids=["short", "long"])
+def test_closed_stdout_exits_2_without_traceback(argv, options):
+    # Nothing reads the pipe: the first write fails, and so, with fd 1 left as
+    # it was, would the flush at shutdown ("Exception ignored ...").
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_fresh(*argv, options=options, stdout=write, stderr=subprocess.PIPE,
+                         capture_output=False, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write -: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 # sha256 of the exact suites A, B, D, E of `verify --seed 42 --no-timestamp`,
@@ -555,3 +587,72 @@ def test_subcommand_help_matches_golden(capsys, monkeypatch):
         assert exc.value.code == 0
         texts.append(capsys.readouterr().out)
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == GOLDEN_HELP
+
+
+# ---------------------------------------------------------------------------
+# The process: entrypoint, as the console script and python -m run it
+# ---------------------------------------------------------------------------
+
+SMALL_VERIFY = ("verify", "--g", "1", "--trials", "5", "--no-timestamp")
+
+
+def test_process_prints_the_bytes_of_main(capsys):
+    code, out, err = run(capsys, *SMALL_VERIFY)
+    proc = run_fresh(*SMALL_VERIFY)
+    assert code == proc.returncode == 0
+    assert proc.stdout == out.encode() and proc.stderr == err.encode() == b""
+
+
+def test_process_exits_1_on_too_tight_tolerances():
+    proc = run_fresh(*SMALL_VERIFY, "--tol", "1e-13", "--tail-tol", "1e-13")
+    assert proc.returncode == 1 and proc.stderr == b""
+    assert json.loads(proc.stdout)["suites"]["C_numeric"]["diagnostic"] == "TooTight"
+
+
+def test_process_output_file_holds_the_whole_payload(tmp_path, capsys):
+    code, out, _ = run(capsys, *SMALL_VERIFY)
+    path = tmp_path / "report.json"
+    proc = run_fresh(*SMALL_VERIFY, "--output", str(path))
+    assert code == proc.returncode == 0 and proc.stdout == b""
+    assert path.read_bytes() == out.encode()
+
+
+def test_entrypoint_freezes_the_collector_once_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == 3 and calls == ["main", "freeze"]
+
+
+def test_import_and_main_leave_the_callers_collector_alone():
+    # In a new process, so that no earlier test has imported the package.
+    code = """
+import contextlib, gc, io
+gc.set_threshold(555, 7, 3)
+before = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+import siegelchi.cli
+imported = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    siegelchi.cli.main(["verify", "--g", "1", "--trials", "2", "--no-timestamp"])
+after = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+print(before == imported == after == (True, (555, 7, 3), 0))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+def test_entrypoint_keeps_atexit_handlers_and_the_final_flush():
+    code = """
+import atexit, sys
+atexit.register(lambda: sys.stderr.write("atexit ran\\n"))
+sys.argv = ["siegelchi", "random", "--g", "1", "--seed", "3"]
+from siegelchi.cli import entrypoint
+entrypoint()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "atexit ran\n"
+    assert json.loads(proc.stdout)["word"]["g"] == 1

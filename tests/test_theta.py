@@ -342,6 +342,20 @@ def test_one_stacked_pass_is_each_point_alone(case):
             assert values[p] == theta._theta_rows([read], theta.DEFAULT_TAIL_TOL)[0]
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_an_empty_read_yields_nothing_and_keeps_its_neighbours_bits(g):
+    # An empty row list is an empty index array, not float64, and reads [];
+    # a read stacked next to it keeps the values of its own pass, bit for bit.
+    rng = seeded(g)
+    empty, full = random_tau(g, rng), random_tau(g, rng)
+    rows = list(range(0, 4 ** g, 3))
+    alone = theta._theta_rows([(rows, full)], theta.DEFAULT_TAIL_TOL)
+    assert theta._theta_rows([([], empty)], theta.DEFAULT_TAIL_TOL) == [[]]
+    for reads, p in [([([], empty), (rows, full)], 1), ([(rows, full), ([], empty)], 0)]:
+        values = theta._theta_rows(reads, theta.DEFAULT_TAIL_TOL)
+        assert values[1 - p] == [] and repr(values[p]) == repr(alone[0])
+
+
 _parts = st.floats(-4.0, 4.0, allow_subnormal=False)
 _skews = st.floats(-SYMMETRY_TOL, SYMMETRY_TOL, allow_subnormal=False)
 
