@@ -50,9 +50,9 @@ EXIT_MISMATCH = 4
 TIGHTNESS_FACTOR = 10.0
 
 
-# Above this degree the 4^g-row tables of chi, decompose, table and verify outgrow memory: at
-# g = 7 verify's report holds about 34 M product ratios and labels (g = 6 peaks at 0.55 GB), and
-# table 105 x 16384 row dicts (0.19 GB for 78 x 4096 at g = 6); member and random build none.
+# Above this degree chi, decompose, table and verify outgrow their use: at g = 7 verify --trials 5
+# takes 22 s and 1.8 GB, nearly all in its theta sweeps' lattice passes (g = 6: 1 s, 0.22 GB), table
+# holds 105 x 16384 row dicts and chi's map W is 109 MB; member and random build no 4^g-row table.
 MAX_G = 6
 
 

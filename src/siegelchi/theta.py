@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -422,8 +422,8 @@ def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
     conditioning; M tau = (a tau + b)(c tau + d)^-1, range-checked as tau is,
     then re-symmetrized as out/2 + out^T/2: exactly symmetric, (out + out^T)/2
     bit for bit for normal numbers, and free of overflow; Im(M tau) positive
-    definite (NotUpperHalfSpace, as is an entry of M past binary64)."""
-    _check_degree(mat, point)
+    definite (NotUpperHalfSpace, as is an entry of M past binary64).  The
+    caller has checked that M and tau share a degree."""
     try:
         g, e = point.g, mat.entries.astype(float)
     except OverflowError as exc:
@@ -442,6 +442,7 @@ def _transform(mat: SymplecticMatrix, point: SiegelPoint) -> tuple:
 
 def mobius(mat: SymplecticMatrix, point: SiegelPoint) -> SiegelPoint:
     """(a tau + b)(c tau + d)^-1, re-symmetrized and revalidated."""
+    _check_degree(mat, point)
     return _transform(mat, point)[0]
 
 
@@ -451,6 +452,7 @@ def det_sqrt_factor(mat: SymplecticMatrix, point: SiegelPoint) -> complex:
     Every characteristic in one verification call shares the same branch
     value, otherwise the multiplier could not cancel.
     """
+    _check_degree(mat, point)
     return cmath.sqrt(_transform(mat, point)[1])
 
 
@@ -462,10 +464,13 @@ def det_sqrt_factor(mat: SymplecticMatrix, point: SiegelPoint) -> complex:
 class VerificationReport:
     """Outcome of one transformation-formula sweep.
 
-    ratios holds the per-characteristic unit estimates; estimated_unit is
-    their mean, the branch-adjusted multiplier.  passed requires the ratios
-    to agree pairwise within tolerance, the unit to have modulus 1 within
-    tolerance, and its eighth power to be 1 within 8x tolerance.
+    ratios holds the unit estimates, one per characteristic (per pair for
+    the product sweep); estimated_unit is their mean, the branch-adjusted
+    multiplier.  max_deviation is their largest pairwise difference, or for
+    the product sweep a bound on that of every pair; see
+    verify_igusa_product.  passed requires max_deviation within tolerance,
+    the unit to have modulus 1 within tolerance, and its eighth power (its
+    fourth for the product sweep) to be 1 within 8x (4x) tolerance.
     """
 
     m_list: tuple
@@ -476,39 +481,23 @@ class VerificationReport:
     passed: bool
 
 
-def _max_deviation(ratios, centre: complex) -> float:
+def _max_deviation(values) -> float:
     """max |r_i - r_j| over all pairs, bit for bit the pairwise loop over
     abs() of Python complex differences: np.hypot rounds exactly as abs()
-    does, and every pair that could reach the maximum is compared.
-
-    With rho_i = |r_i - centre|, |r_i - r_j| <= rho_i + rho_j.  Rows are
-    taken in order of decreasing rho_i, each compared with every row, and the
-    sweep stops at the first i with 2 rho_i + slack < best, the maximum so
-    far, past which no pair can reach it.  A difference of two floats is
-    rounded once, so each computed rho and |r_i - r_j| is within a few 2^-53
-    of its value, relative; slack = 1e-9 max rho covers that, as after the
-    first row best is about max rho at least when the centre, the mean, lies
-    in the hull of the r.  Sorting stays in Python: numpy's sort code would
-    add its pages to the peak memory of a CLI run.
-    """
-    r = np.array(ratios)
-    d = r - centre
-    rho = np.hypot(d.real, d.imag).tolist()
-    if not all(map(math.isfinite, rho)):        # nothing to order by: every row
-        return float(max(np.hypot(d.real, d.imag).max() for d in (r - x for x in r)))
-    order = sorted(range(len(rho)), key=rho.__getitem__, reverse=True)
-    slack, best = 1e-9 * rho[order[0]], 0.0
-    for i in order:
-        if 2.0 * rho[i] + slack < best:
-            break
-        d = r - r[i]
-        best = max(best, np.hypot(d.real, d.imag).max())
-    return float(best)
+    does, and r_i - r_j is -(r_j - r_i) exactly.  Blocks of 256 rows are
+    compared with every row, at most 2080 x 256 differences at g = 6.  With
+    an inf or NaN, where inf - inf is NaN, each row is its own block, and
+    max() of the row maxima keeps the loop's answer: inf for an inf, NaN for
+    a NaN."""
+    r = np.array(values)
+    step = 256 if np.isfinite(r).all() else 1
+    return float(max(np.hypot(d.real, d.imag).max()
+                     for d in (r[i:i + step, None] - r for i in range(0, len(r), step))))
 
 
-def _assemble_report(labels, ratios, tol, unit_power: int = 8) -> VerificationReport:
+def _assemble_report(labels, ratios, tol, unit_power: int = 8, dev=None) -> VerificationReport:
     unit = sum(ratios) / len(ratios)
-    dev = _max_deviation(ratios, unit)
+    dev = _max_deviation(ratios) if dev is None else dev
     ok = (dev <= tol
           and abs(abs(unit) - 1.0) <= tol
           and abs(unit ** unit_power - 1.0) <= unit_power * tol)
@@ -594,10 +583,18 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
                          tail_tol: float = DEFAULT_TAIL_TOL) -> VerificationReport:
     """Pair-independence of the product-character ratio.
 
-    psi = theta_m theta_n transforms with det(c tau + d) and chi_m chi_n; the
-    leftover factor (the squared multiplier) must be the same for every pair,
-    and its fourth power must be 1.  The sweep covers the given pair plus all
-    usable even pairs; no square root is taken, so no branch enters.
+    psi = theta_m theta_n transforms with det(c tau + d) and chi_m chi_n, so
+    r_ab = q_a q_b / det, q_a = theta_a(M tau) / (theta_a(tau) zeta^k_a),
+    must be the same for every pair of usable even a, b, and its fourth
+    power 1; no square root is taken, so no branch enters.  The K values q_a
+    are formed once, and the report holds K ratios: (m, n), then (m, a) for
+    every other kept a.  max_deviation = 2 max|q| diam{q} / |det| bounds the
+    deviation of every pair, |q_a q_b - q_c q_d| <= |q_a| |q_b - q_d| + |q_d|
+    |q_a - q_c|, and is at most twice the largest, as the pairs (a*, b) with
+    |q_a*| = max|q| already reach max|q| diam{q}.  With the q_a close it is
+    the largest to first order, diam(S + S) being 2 diam(S).  A sign wrong
+    at one row gives about 4, where the diagonal pairs |q_a^2 - q_c^2| would
+    not see it.
 
     m and n are read at their rows mod 2: chi sees m mod 2 only, and
     theta[m + 2j] = (-1)^(m'.j'') theta[m] with one sign at tau and M tau.
@@ -612,15 +609,9 @@ def verify_igusa_product(m: Characteristic, n: Characteristic,
     rows = [evens[i] for i in kept]
     if m._row not in rows or n._row not in rows:
         raise TooFewUsable("requested characteristic below the theta floor")
-    first = (rows.index(m._row), rows.index(n._row))
-    k = [ks[r] for r in rows]
-
-    def pairs():        # the requested pair, then every other unordered pair once
-        yield first
-        skip = tuple(sorted(first))
-        yield from (p for p in combinations_with_replacement(range(len(rows)), 2) if p != skip)
-
-    ratios = [(tops[a] * tops[b]) / (det * vals[a] * vals[b] * _ROOT_VALUES[(k[a] + k[b]) % 8])
-              for a, b in pairs()]
-    return _assemble_report([(chars[rows[a]], chars[rows[b]]) for a, b in pairs()],
-                            ratios, tol, unit_power=4)
+    q = [top / (val * _ROOT_VALUES[ks[r]]) for r, val, top in zip(rows, vals, tops)]
+    a, b = rows.index(m._row), rows.index(n._row)
+    order = [b] + [c for c in range(len(rows)) if c != b]
+    dev = 2.0 * max(map(abs, q)) * _max_deviation(q) / abs(det)
+    return _assemble_report([(chars[rows[a]], chars[rows[c]]) for c in order],
+                            [q[a] * q[c] / det for c in order], tol, unit_power=4, dev=dev)

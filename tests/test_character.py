@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from siegelchi import (AbelianExponents, BadShape, Characteristic, DegreeMismatch,
                        EighthRoot, InterpolationInconsistent, NotLevel2,
-                       characteristic,
+                       act, characteristic,
                        chi, chi_even_values, chi_exponents, chi_from_exponents,
                        chi_generator, chi_word, delta_sign_bit,
                        enumerate_even_mod2, enumerate_mod2,
-                       extract_abelian_exponents, generator, identity,
+                       extract_abelian_exponents, generator, identity, inverse,
                        is_chi_constant_over_even,
                        is_igusa48, is_igusa48_up_to_sign, make_matrix,
                        matrix_power, multiply, phase_full, phase_level2,
@@ -21,7 +21,8 @@ from siegelchi import (AbelianExponents, BadShape, Characteristic, DegreeMismatc
 from siegelchi import SymplecticMatrix, character
 from siegelchi.symplectic import alphabet, congruent_to_identity
 
-from util import chi_reference, chi_rows_reference, random_level2, seeded
+from util import (chi_reference, chi_rows_reference, random_level2, random_sp, seeded,
+                  smith_z8)
 
 
 def all_binary(g):
@@ -626,6 +627,30 @@ def test_chi_trivial_on_every_residue_of_igusa_group_mod_8(g, residues):
         seen.add((mat.entries % 8).tobytes())
         assert not chi_exponents(mat).any()
     assert len(seen) == residues
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_image_of_chi_has_the_order_of_gamma2_over_igusa_group(g):
+    # [Gamma(2) : Gamma(4,8)] = 2^(2g^2 + 3g): 2^(2g^2 + g) for Gamma(2)/Gamma(4)
+    # and 2^(2g) for Gamma(4)/Gamma(4,8).  The letters' chi columns alone span
+    # a subgroup of (Z/8)^(4^g) of that order, so |im chi| is at least the
+    # index.  chi is a homomorphism, and it is trivial on Gamma(4,8), checked on
+    # every residue mod 8 at g <= 2 by the test above, so |im chi| is at most
+    # the index: ker chi = Gamma(4,8) at g <= 2.
+    columns = [chi_exponents(generator(kind, i, j, g)) for kind, i, j in alphabet(g)]
+    assert sum(3 - v for v in smith_z8(columns)) == 2 * g * g + 3 * g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_conjugation_moves_chi_by_an_offset_free_of_m(g, rng):
+    # chi(N.m, N M N^-1) - chi(m, M) = chi(N.0, N M N^-1) mod 8 for N in
+    # Sp(2g, Z) and M in Gamma(2).  The offset is not always 0, so chi is not
+    # plainly equivariant; what holds is that it does not depend on m.
+    mat, n = random_level2(g, rng), random_sp(g, rng)
+    conj = multiply(multiply(n, mat), inverse(n))
+    offset = chi(act(n, Characteristic.from_vector([0] * 2 * g)), conj).k
+    assert {(chi(act(n, m), conj).k - chi(m, mat).k) % 8 for m in all_binary(g)} == {offset}
 
 
 # ---------------------------------------------------------------------------

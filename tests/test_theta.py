@@ -595,6 +595,54 @@ def test_shift_sign_rule():
             assert abs(lhs - rhs) < 2e-12
 
 
+def _duplication_gap(point):
+    """At every binary m, |theta[m](tau)^2 - sum_c (-1)^(m''.c) theta[c, 0](2 tau)
+    theta[c + m', 0](2 tau)|, c binary, and the sum of the moduli of the terms
+    on the right.  Rows and c are indices in enumerate_mod2 order, so c + m'
+    mod 2 is an XOR of indices and m''.c the parity of an AND."""
+    g = point.g
+    chars = enumerate_mod2(g)
+    twice = np.array(theta_constants(chars[::2 ** g], siegel_point(2 * point.tau)))
+    mp, mpp = np.divmod(np.arange(4 ** g), 2 ** g)
+    c = np.arange(2 ** g)
+    terms = ((1.0 - 2.0 * (np.bitwise_count(mpp[:, None] & c) & 1))
+             * twice[c] * twice[mp[:, None] ^ c])
+    left = np.array(theta_constants(chars, point)) ** 2
+    return np.abs(left - terms.sum(axis=1)), np.abs(terms).sum(axis=1)
+
+
+# Each theta value is within tail_tol = 1e-12 of itself (truncation_radius)
+# and |theta[m]|^2 is at most the scale, the sum of the moduli on the right,
+# so truncation moves the identity by at most 4e-12 of the scale.  Rounding
+# has no stated bound yet; it was at most 4.4e-15 of the scale on 200 points
+# at g = 1..4, so 1e-11 leaves it room while the identity keeps its teeth: with
+# the radius halved it is off by at least 2e-7 of the scale.
+DUPLICATION_TOL = 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.randoms(use_true_random=False), st.booleans())
+def test_theta_squares_obey_the_duplication_formula(g, rng, moved):
+    # Oracle-free at every g, even and odd rows alike: the right side
+    # vanishes at odd m.  M tau with Im below 0.3 is replaced by tau, which
+    # keeps the lattice at g = 4 small.
+    point = random_tau(g, rng)
+    if moved:
+        image = mobius(word_to_matrix(random_word(g, rng.randint(1, 2), rng.randint(0, 10**9))),
+                       point)
+        point = image if image.im_min_eig > 0.3 else point
+    gap, scale = _duplication_gap(point)
+    assert (gap <= DUPLICATION_TOL * scale).all(), (point, (gap / scale).max())
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_duplication_formula_sees_a_halved_radius(monkeypatch, g):
+    radius = truncation_radius
+    monkeypatch.setattr(theta, "truncation_radius", lambda *args: radius(*args) / 2.0)
+    gap, scale = _duplication_gap(random_tau(g, seeded(99 + g)))
+    assert (gap > DUPLICATION_TOL * scale).any()
+
+
 def test_degree_three_runs():
     point = random_tau(3, seeded(64))
     value = theta_constant(Characteristic.from_vector([0] * 6), point)
@@ -869,6 +917,14 @@ def test_transform_error_gives_way_to_too_few_usable(monkeypatch, sweep):
     assert passes == [1]
 
 
+def test_mobius_det_sqrt_factor_and_sweeps_check_the_degree():
+    # mobius and det_sqrt_factor check M against tau, and each sweep does
+    # before its lattice pass; _transform, which they share, does not again.
+    for call in [mobius, det_sqrt_factor] + list(SWEEPS.values()):
+        with pytest.raises(DegreeMismatch):
+            call(identity(2), TAU_I)
+
+
 def test_degree_mismatch_comes_before_too_few_usable():
     with pytest.raises(DegreeMismatch):
         verify_transformation_general(identity(2), [characteristic(1, 1)], TAU_I)
@@ -899,7 +955,7 @@ def test_product_reads_m_and_n_at_their_rows_mod_2(g, m, n):
     assert report.m_list[0] == (m.mod2(), n.mod2())
     assert report.ratios == binary.ratios and report.estimated_unit == binary.estimated_unit
     if g == 2:
-        assert len(report.ratios) == 55
+        assert len(report.ratios) == 10
 
 
 @pytest.mark.parametrize("m, n", [(ZERO2, characteristic(0, 0)), (characteristic(0, 0), ZERO2)],
@@ -924,24 +980,104 @@ def test_image_past_half_binary64_is_not_upper_half_space():
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
-def test_product_sweep_walks_each_pair_once(g):
-    # The requested pair first, read mod 2, then every other unordered pair of
-    # usable even classes once: K (K + 1) / 2 ratios, the diagonal included.
+def test_product_report_pairs_m_with_each_kept_class_once(g):
+    # The requested pair first, read mod 2, then m with every other usable
+    # even class once: K ratios, where the pair walk made K (K + 1) / 2.
     mat = word_to_matrix(random_word(g, 3, 96 + g))
     point = random_tau(g, seeded(97 + g))
     evens = enumerate_even_mod2(g)
     kept = [m for m, v in zip(evens, theta_constants(evens, point)) if abs(v) > THETA_FLOOR]
-    size = len(kept) * (len(kept) + 1) // 2
     lift = Characteristic.from_vector([2, -4] * g)
     for m, n in [(kept[-1], kept[-1]), (kept[-1], kept[0]), (kept[0], kept[-1]),
                  (shift(kept[-1], lift), shift(kept[0], lift))]:
         report = verify_igusa_product(m, n, mat, point)
         assert report.passed and report.m_list[0] == (m.mod2(), n.mod2())
-        assert len(report.ratios) == len(report.m_list) == size
-        seen = Counter(tuple(sorted((a._row, b._row))) for a, b in report.m_list)
-        assert set(seen.values()) == {1}
-        assert set(seen) == set(itertools.combinations_with_replacement(
-            sorted(m._row for m in kept), 2))
+        assert len(report.ratios) == len(report.m_list) == len(kept)
+        assert {a for a, _ in report.m_list} == {m.mod2()}
+        assert sorted(b._row for _, b in report.m_list) == sorted(x._row for x in kept)
+
+
+def _product_terms(monkeypatch, turn=None):
+    """Record the q_a = theta_a(M tau) / (theta_a(tau) zeta^k_a) and the det
+    of each product sweep, theta at M tau first turned by turn(K) if given."""
+    seen = []
+    sweep = theta._sweep
+
+    def recorded(mat, *args):
+        kept, vals, tops, det = sweep(mat, *args)
+        if turn is not None:
+            tops = [top * w for top, w in zip(tops, turn(len(tops)))]
+        ks, evens = theta._chi_table(mat)[0], theta._mod2_table(mat.g)[2]
+        seen.append((np.array([top / (val * EighthRoot(int(ks[evens[i]])).value)
+                               for i, val, top in zip(kept, vals, tops)]), det))
+        return kept, vals, tops, det
+
+    monkeypatch.setattr(theta, "_sweep", recorded)
+    return seen
+
+
+def _all_pairs(q, det):
+    a, b = np.triu_indices(len(q))
+    return q[a] * q[b] / det
+
+
+def test_product_deviation_is_between_the_pair_maximum_and_twice_it(monkeypatch):
+    # max_deviation = 2 max|q| diam{q} / |det| bounds every pair's deviation
+    # and is at most twice the largest; both within the rounding of the ratios.
+    seen = _product_terms(monkeypatch)
+    rng = seeded(4901)
+    for g in (1, 2, 3):
+        evens = enumerate_even_mod2(g)
+        for _ in range(40):
+            mat = word_to_matrix(random_word(g, rng.randint(1, 4), rng.randint(0, 10**9)))
+            report = verify_igusa_product(rng.choice(evens), rng.choice(evens), mat,
+                                          random_tau(g, rng))
+            r = _all_pairs(*seen[-1])
+            pairs = np.abs(r[:, None] - r).max()
+            slack = 16 * 2.0 ** -53 * np.abs(r).max()
+            assert pairs - slack <= report.max_deviation <= 2 * pairs + slack
+    assert len(seen) == 120
+
+
+@pytest.mark.parametrize("flip", [0, 5], ids=["row-of-m", "other-row"])
+def test_one_sign_flip_fails_the_product_sweep(monkeypatch, flip):
+    # chi off by 4 at one even row turns one q_a to -q_a: the report's bound
+    # reads 4, every pair's maximum 2, while the diagonal pairs |q_a^2 - q_c^2|
+    # stay at rounding level, blind to the sign.
+    seen = _product_terms(monkeypatch)
+    chi_table = theta._chi_table
+    evens = enumerate_even_mod2(2)
+    monkeypatch.setattr(theta, "_chi_table", lambda mat: (
+        (chi_table(mat)[0] + 4 * (np.arange(16) == evens[flip]._row)) % 8,))
+    mat = word_to_matrix(random_word(2, 3, 93))
+    report = verify_igusa_product(evens[0], evens[1], mat, random_tau(2, seeded(94)))
+    q, det = seen[-1]
+    r = _all_pairs(q, det)
+    assert not report.passed and abs(report.max_deviation - 4) < 1e-9
+    assert abs(np.abs(r[:, None] - r).max() - 2) < 1e-9
+    assert np.ptp(q * q / det) < 1e-12
+
+
+def test_product_verdict_near_tol_is_the_pair_rule(monkeypatch):
+    # Theta at M tau turned by small centred phases e^(i phi_a): every pair's
+    # maximum D is about 2 ptp(phi), and the report's bound equals it to first
+    # order, so just below and just above D the verdict is the all-pairs one.
+    rng = seeded(4902)
+    phi = []
+    seen = _product_terms(monkeypatch, turn=lambda k: np.exp(1e-7j * (phi[:k] - phi[:k].mean())))
+    for g in (1, 2, 3):
+        evens = enumerate_even_mod2(g)
+        for _ in range(10):
+            mat = word_to_matrix(random_word(g, rng.randint(1, 4), rng.randint(0, 10**9)))
+            point, m, n = random_tau(g, rng), rng.choice(evens), rng.choice(evens)
+            phi = np.array([rng.uniform(-1, 1) for _ in evens])
+            verify_igusa_product(m, n, mat, point)
+            r = _all_pairs(*seen[-1])
+            pairs = _assemble_report(range(len(r)), r.tolist(), 1.0).max_deviation
+            for tol, verdict in [(pairs * (1 - 1e-4), False), (pairs * (1 + 1e-4), True)]:
+                rule = _assemble_report(range(len(r)), r.tolist(), tol, unit_power=4)
+                assert verify_igusa_product(m, n, mat, point, tol=tol).passed == verdict
+                assert rule.passed == verdict
 
 
 # B(1, 1)^(10^400) is level 2, and 10^400 overflows binary64.

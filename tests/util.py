@@ -282,6 +282,31 @@ def chi_rows_reference(mat):
     return ((t - num) % 8).astype(np.int64), (t % 8 // 4).astype(np.int64)
 
 
+_VALUATION8 = np.array([3, 0, 1, 0, 2, 0, 1, 0])     # 2-valuation of x mod 8, 3 for 0
+
+
+def smith_z8(rows):
+    """The 2-valuations v of the Smith form over Z/8 of an integer matrix, one
+    per nonzero invariant 2^v: its rows span a subgroup of (Z/8)^n of order
+    2^(sum of 3 - v).  Each step pivots on an entry 2^v u, u odd, of least
+    2-valuation; every entry of the other rows is a multiple of it mod 8, w
+    2^v = (w u) 2^v u as u^2 = 1 mod 8, so row operations clear its column.
+    The span is then the pivot row's cyclic group, of order 2^(3 - v) as each
+    of its entries has valuation at least v, plus the span of the rest, which
+    is zero in that column: a direct sum, so the orders multiply."""
+    a = np.array(rows, dtype=np.int64) % 8
+    found = []
+    while a.size:
+        i, j = np.unravel_index(_VALUATION8[a].argmin(), a.shape)
+        v = int(_VALUATION8[a[i, j]])
+        if v == 3:
+            break
+        found.append(v)
+        factor = (a[:, j] >> v) * (a[i, j] >> v) % 8
+        a = np.delete((a - factor[:, None] * a[i]) % 8, i, axis=0)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Reference oracle for theta constants: the plain box sum in mpmath
 # ---------------------------------------------------------------------------
